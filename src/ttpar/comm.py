@@ -344,8 +344,7 @@ def run_spmd(nranks: int, body, *, timeout: float = 60.0) -> SpmdRun:
     for e in errors:
         if e is None:
             continue
-        secondary = isinstance(e, ContractError) and "aborted by rank" in str(e)
-        if root_cause is None or (not secondary and _is_secondary(root_cause)):
+        if root_cause is None or (not _is_secondary(e) and _is_secondary(root_cause)):
             root_cause = e
     if root_cause is not None:
         raise root_cause

@@ -69,12 +69,6 @@ class TTCore:
     def r_right(self) -> int:
         return self.array.shape[2]
 
-    def slice(self, i: int) -> np.ndarray:
-        """The ``r_left x r_right`` matrix ``X(i)`` (a view)."""
-        if not 0 <= i < self.dim:
-            raise BoundsError(f"slice index {i} out of range [0, {self.dim})")
-        return self.array[:, i, :]
-
     def vertical(self) -> np.ndarray:
         """Zero-copy ``(r_left * dim, r_right)`` matricization."""
         rl, d, rr = self.array.shape

@@ -11,7 +11,8 @@ algorithm; they vanish at P = 1 where no exchange happens at all.
 `chain_estimate` evaluates the same per-mode polynomials on an actual
 (dims, ranks) chain.  End bonds have rank 1, so for short trains the uniform
 formulas overshoot real instrumented counters by 20-30%; the chain form is
-what counter validation compares against, phase by phase.
+what counter validation compares against, phase by phase.  Its sweep shapes
+come from the orientation objects `ttpar.parallel`'s sweeps run on.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from math import ceil, log2
 
 from .comm import CostModelParams
 from .errors import ContractError
+from .parallel import _BACKWARD, _SVD_FLOPS_PER_B3, ROUNDING_VARIANTS, _sweeps
 
 OP_KINDS = (
     "summation",
@@ -40,8 +42,6 @@ _ALIASES = {
     "ortho": "orthonormalization",
     "round": "rounding",
 }
-
-_SVD_FLOPS_PER_B3 = 21.0  # keep in sync with the charge in ttpar.parallel
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,12 @@ def _lg(P: int) -> int:
     return ceil(log2(P)) if P > 1 else 0
 
 
-def estimate(op_kind, N, I, R, P=1, L=None, params=None,
-             m=None, b=None) -> CostReport:
+def estimate(op_kind, N, I, R, P=1, L=None, m=None, b=None) -> CostReport:
     """Leading-term cost of one operation at uniform mode size and rank.
 
     ``L`` is the output rank for ``rounding`` (default R/2, the halved-rank
     regime).  ``m``/``b`` override the panel shape for ``tsqr`` (default
-    I*R and R, the shape orthonormalization sweeps feed it).  ``params`` is
-    unused here; feed it to `CostReport.seconds` to convert to time.
+    I*R and R, the shape orthonormalization sweeps feed it).
     """
     kind = _canon(op_kind)
     N, I, R, P = float(N), float(I), float(R), int(P)
@@ -201,49 +199,27 @@ def chain_estimate(op_kind, dims, ranks, P=1, out_ranks=None,
         ) / P
         words = sum(r * r for r in ranks[1:]) * (P > 1)
         messages = N * lg
-    elif kind == "orthonormalization":
-        for n in range(N - 1, 0, -1):  # right sweep; left is the mirror count
-            m, b = dims[n] * ranks[n + 1], ranks[n]
-            f["TSQR"] += 2 * m * b * b / P + b**3 * lg
-            f["AppQ"] += 2 * m * b * b / P
-            f["Other"] += ranks[n - 1] * dims[n - 1] * b * b / P
-            words += b * b * lg
-            messages += lg
-    else:  # rounding
-        variant = str(variant).upper()
-        if variant not in ("RLR", "RLRI", "LRL", "LRLI"):
-            raise ContractError(f"unknown rounding variant {variant!r}")
-        implicit = variant.endswith("I")
-        # (panel rows, bond rank, neighbor-fold rows) per sweep step, in the
-        # shapes round_tt actually feeds TSQR for each orientation
-        if variant.startswith("R"):
-            orth = [
-                (dims[n] * ranks[n + 1], ranks[n], ranks[n - 1] * dims[n - 1])
-                for n in range(N - 1, 0, -1)
-            ]
-            trunc = [
-                (out[n] * dims[n], ranks[n + 1], out[n + 1],
-                 dims[n + 1] * ranks[n + 2])
-                for n in range(N - 1)
-            ]
-        else:
-            orth = [
-                (ranks[n] * dims[n], ranks[n + 1], dims[n + 1] * ranks[n + 2])
-                for n in range(N - 1)
-            ]
-            trunc = [
-                (dims[n] * out[n + 1], ranks[n], out[n],
-                 ranks[n - 1] * dims[n - 1])
-                for n in range(N - 1, 0, -1)
-            ]
-        for m, b, fold_m in orth:
+    else:  # orthonormalization (a right sweep) or rounding
+        orth, trunc, implicit = _BACKWARD, None, False
+        if kind == "rounding":
+            variant = str(variant).upper()
+            if variant not in ROUNDING_VARIANTS:
+                raise ContractError(f"unknown rounding variant {variant!r}")
+            orth, trunc = _sweeps(variant)
+            implicit = variant.endswith("I")
+        # panel rows m and bond rank b of each step, and the rows of the next
+        # core that R or the carry folds into, by the sweeps' own index rules
+        for n in orth.steps(N):
+            m, b, nxt = dims[n] * ranks[orth.outer(n)], ranks[orth.bond(n)], n + orth.step
             f["TSQR"] += 2 * m * b * b / P + b**3 * lg
             if not implicit:
                 f["AppQ"] += 2 * m * b * b / P
-            f["Other"] += fold_m * b * b / P
+            f["Other"] += dims[nxt] * ranks[orth.other.outer(nxt)] * b * b / P
             words += b * b * lg
             messages += lg
-        for m, b, keep, carry_m in trunc:
+        for n in trunc.steps(N) if trunc else ():
+            m, b, nxt = dims[n] * out[trunc.outer(n)], ranks[trunc.bond(n)], n + trunc.step
+            keep, carry_m = out[trunc.bond(n)], dims[nxt] * ranks[trunc.other.outer(nxt)]
             f["TSQR"] += 2 * m * b * b / P + b**3 * lg
             f["Other"] += _SVD_FLOPS_PER_B3 * b**3  # replicated, not divided
             f["AppQ"] += 4 * m * keep * b / P

@@ -25,6 +25,7 @@ from .errors import CapacityError, ContractError, NumericError, ShapeError
 from .parallel import (
     DistTTTensor,
     RoundingOptions,
+    _end_core_norm,
     block_bounds,
     gather,
     orthonormalize,
@@ -228,10 +229,7 @@ def norm(x, method: str = "innerprod", return_info: bool = False):
             val = sqrt(max(inner_product(x, x), 0.0))
     else:
         dt = x if isinstance(x, DistTTTensor) else serial_tt(x)
-        ortho = orthonormalize(dt, "right")
-        end = ortho.local[0]
-        sq = float(np.dot(end.ravel(), end.ravel()))
-        val = sqrt(max(float(dt.comm.allreduce_sum(np.array([sq]))[0]), 0.0))
+        val = _end_core_norm(dt.comm, orthonormalize(dt, "right").local[0])
     return (val, info) if return_info else val
 
 

@@ -6,14 +6,16 @@ is what lets addition and Hadamard products run with no communication and
 turns every orthonormalization panel into a row-distributed tall-skinny
 matrix that TSQR can factor directly.
 
-`orthonormalize` sweeps QRs through the chain (5 N I R^3 / P flops to leading
-order).  `round_tt` compresses bond ranks to a relative target `eps0`:
-an orthonormalization sweep, then a truncation sweep of TSQR + a small
-replicated SVD per bond, in either order (variants ``RLR``/``LRL``), with the
-orthonormalization sweep optionally kept *implicit* (variants ending in
-``I``) so its orthonormal factors are only ever applied to the narrow
-truncated blocks -- N I R (3R^2 + 6RL + 4L^2) / P flops instead of the
-explicit variants' 5R^2 + 4RL + 4L^2 coefficient sum (a wash when nothing
+One engine runs both: `_qr_sweep` and `_truncate_sweep`, written once on a
+forward and a backward orientation object (`cost.chain_estimate` reads its
+shapes from the same two).  `orthonormalize` is one QR sweep (5 N I R^3 / P
+flops to leading order).  `round_tt` compresses bond ranks to a relative
+target `eps0`: a QR sweep, the norm, then a truncation sweep of TSQR + a
+small replicated SVD per bond the other way (variants ``RLR``/``LRL``),
+with the QR sweep optionally kept *implicit* (variants ending in ``I``) so
+its orthonormal factors are only ever applied to the narrow truncated
+blocks -- N I R (3R^2 + 6RL + 4L^2) / P flops instead of the explicit
+variants' 5R^2 + 4RL + 4L^2 coefficient sum (a wash when nothing
 truncates, a 1/8 saving at L = R/2).
 """
 
@@ -141,24 +143,136 @@ def gather(dt: DistTTTensor) -> TTTensor:
     return TTTensor(cores)
 
 
-def _vview(slab: np.ndarray) -> np.ndarray:
-    rl, d, rr = slab.shape
-    return slab.reshape((rl * d, rr), order="F")
+class _Orientation:
+    """The direction-dependent rules of a sweep through the chain.
+
+    Forward visits cores 0..N-2 and factors each right bond, with the vertical
+    unfolding as TSQR panel; backward visits N-1..1 and factors each left bond
+    through the transposed horizontal unfolding.  The bond a step leaves alone
+    is the core's *outer* one; R or the carry folds into core ``n + step``.
+    """
+
+    def __init__(self, forward: bool):
+        self.forward = forward
+        self.step = 1 if forward else -1
+
+    def steps(self, N: int) -> range:
+        return range(N - 1) if self.forward else range(N - 1, 0, -1)
+
+    def bond(self, n: int) -> int:
+        return n + 1 if self.forward else n
+
+    def outer(self, n: int) -> int:
+        return n if self.forward else n + 1
+
+    def panel(self, slab: np.ndarray) -> np.ndarray:
+        """The TSQR panel of a slab: one column per index of the factored bond."""
+        rl, d, rr = slab.shape
+        if self.forward:
+            return slab.reshape((rl * d, rr), order="F")
+        return slab.reshape((rl, d * rr), order="F").T
+
+    def slab(self, panel: np.ndarray, n: int, d: int, ranks) -> np.ndarray:
+        """Rebuild core n (``d`` local rows) from a panel of its new bond."""
+        k, o = panel.shape[1], ranks[self.outer(n)]
+        if self.forward:
+            return np.reshape(panel, (o, d, k), order="F")
+        return np.asfortranarray(panel.T).reshape((k, d, o), order="F")
+
+    def fold(self, f: np.ndarray, slab: np.ndarray, tr, tri: bool = False) -> np.ndarray:
+        """Fold a bond factor into the next core: a TSQR triangle as ``R @ H``
+        or ``V @ R^T`` by dtrmm (``tri``), a (bond, keep) truncation carry C as
+        ``C^T @ H`` or ``V @ C`` by dgemm, at twice the flops per entry."""
+        rl, d, rr = slab.shape
+        if self.forward:
+            h = slab.reshape((rl, d * rr), order="F")
+            out = dtrmm(1.0, f, h) if tri else dgemm(1.0, f, h, trans_a=1)
+            shape = (out.shape[0], d, rr)
+        else:
+            v = slab.reshape((rl * d, rr), order="F")
+            out = dtrmm(1.0, f, v, side=1, trans_a=1) if tri else dgemm(1.0, v, f)
+            shape = (rl, d, out.shape[1])
+        tr.add_flops((1.0 if tri else 2.0) * out.size * f.shape[0])
+        return out.reshape(shape, order="F")
+
+    def split(self, r: np.ndarray, eps: float, max_rank):
+        """``(svd, new panel basis, carry)`` for a bond's triangle.  A forward
+        panel Q R with R ~ U S V^T keeps Q U and carries V S; backward swaps."""
+        if self.forward:
+            t = truncated_svd(r, eps, max_rank)
+            return t, t.u, t.v * t.s[None, :]
+        t = truncated_svd(np.asfortranarray(r.T), eps, max_rank)
+        return t, t.v, t.u * t.s[None, :]
 
 
-def _hview(slab: np.ndarray) -> np.ndarray:
-    rl, d, rr = slab.shape
-    return slab.reshape((rl, d * rr), order="F")
+_FORWARD, _BACKWARD = _Orientation(True), _Orientation(False)
+_FORWARD.other, _BACKWARD.other = _BACKWARD, _FORWARD
 
 
-def _slab_from_v(v: np.ndarray, rl: int, d: int) -> np.ndarray:
-    return np.reshape(v, (rl, d, v.shape[1] if v.ndim == 2 else 1), order="F")
+def _sweeps(variant: str) -> tuple:
+    """(orthonormalization, truncation) sweeps of a rounding variant: ``RLR*``
+    orthonormalizes right (a backward sweep), then truncates forward."""
+    return (_BACKWARD, _FORWARD) if variant.startswith("R") else (_FORWARD, _BACKWARD)
 
 
-def _slab_from_ht(ht: np.ndarray, d: int, rr: int) -> np.ndarray:
-    # ht rows pair (mode index fastest, right rank): (d*rr, rl_new)
-    h = np.asfortranarray(ht.T)
-    return h.reshape((h.shape[0], d, rr), order="F")
+def _qr_sweep(dt: DistTTTensor, sweep: _Orientation, implicit: bool = False) -> tuple:
+    """QR-sweep the chain, folding each R into the next core.
+
+    Returns the new slabs and the TSQR factors an implicit sweep keeps in
+    place of each visited core's Q (that core's slab is then None).
+    """
+    comm, tr = dt.comm, dt.comm.trace
+    slabs, facs = list(dt.local), {}
+    for n in sweep.steps(dt.ndim):
+        with tr.phase("TSQR"):
+            fac, r = tsqr_factor(sweep.panel(slabs[n]), comm)
+        if implicit:
+            facs[n], slabs[n] = fac, None
+        else:
+            with tr.phase("AppQ"):
+                q = tsqr_apply_q(fac, np.eye(dt.ranks[sweep.bond(n)]), comm)
+            slabs[n] = sweep.slab(q, n, dt.local[n].shape[1], dt.ranks)
+        with tr.phase("Other"):
+            slabs[n + sweep.step] = sweep.fold(r, slabs[n + sweep.step], tr, tri=True)
+    return slabs, facs
+
+
+def _truncate_sweep(dt, slabs, facs, sweep: _Orientation, eps, max_rank, meta) -> tuple:
+    """TSQR and a replicated truncated SVD per bond, in place on ``slabs``.
+
+    Each carry folds into the next core through its stored factor when the
+    QR sweep was implicit, by gemm otherwise.  Returns the output ranks.
+    """
+    comm, tr = dt.comm, dt.comm.trace
+    ranks = list(dt.ranks)
+    for n in sweep.steps(dt.ndim):
+        b, nxt = ranks[sweep.bond(n)], n + sweep.step
+        with tr.phase("TSQR"):
+            fac, r = tsqr_factor(sweep.panel(slabs[n]), comm)
+        with tr.phase("Other"):
+            tsvd, basis, carry = sweep.split(r, eps, max_rank)
+            tr.add_flops(_SVD_FLOPS_PER_B3 * b**3)
+            keep = basis.shape[1]
+            meta["error_bound_violated"] |= tsvd.capped
+            _assert_consistent_rank(comm, keep)
+        with tr.phase("AppQ"):
+            q = tsqr_apply_q(fac, basis, comm)
+        slabs[n] = sweep.slab(q, n, dt.local[n].shape[1], ranks)
+        if slabs[nxt] is None:
+            with tr.phase("AppQ"):
+                q = tsqr_apply_q(facs.pop(nxt), carry, comm)
+            slabs[nxt] = sweep.other.slab(q, nxt, dt.local[nxt].shape[1], ranks)
+        else:
+            with tr.phase("Other"):
+                slabs[nxt] = sweep.fold(carry, slabs[nxt], tr)
+        ranks[sweep.bond(n)] = keep
+    return tuple(ranks)
+
+
+def _end_core_norm(comm: Communicator, end: np.ndarray) -> float:
+    """Norm of a chain whose other cores are orthonormal, off its end core."""
+    sq = float(np.dot(end.ravel(), end.ravel()))
+    return sqrt(max(float(comm.allreduce_sum(np.array([sq]))[0]), 0.0))
 
 
 def orthonormalize(dt: DistTTTensor, direction: str = "right") -> DistTTTensor:
@@ -171,42 +285,9 @@ def orthonormalize(dt: DistTTTensor, direction: str = "right") -> DistTTTensor:
     """
     if direction not in ("left", "right"):
         raise ContractError(f"direction must be 'left' or 'right', got {direction!r}")
-    comm, tr = dt.comm, dt.comm.trace
-    N = dt.ndim
-    slabs = [s.copy(order="F") for s in dt.local]
-    ranks = dt.ranks
-    if N == 1:
-        return DistTTTensor(comm, dt.dims, ranks, slabs, {"orthonormal": direction})
-
-    if direction == "right":
-        for n in range(N - 1, 0, -1):
-            b = ranks[n]
-            d_loc = slabs[n].shape[1]
-            with tr.phase("TSQR"):
-                fac, r = tsqr_factor(_hview(slabs[n]).T, comm)
-            with tr.phase("AppQ"):
-                q = tsqr_apply_q(fac, np.eye(b), comm)
-            slabs[n] = _slab_from_ht(q, d_loc, ranks[n + 1])
-            with tr.phase("Other"):
-                v = _vview(slabs[n - 1])
-                vn = dtrmm(1.0, r, v, side=1, lower=0, trans_a=1)  # V @ R^T
-                tr.add_flops(float(v.shape[0]) * b * b)
-                slabs[n - 1] = _slab_from_v(vn, ranks[n - 1], slabs[n - 1].shape[1])
-    else:
-        for n in range(N - 1):
-            b = ranks[n + 1]
-            d_loc = slabs[n].shape[1]
-            with tr.phase("TSQR"):
-                fac, r = tsqr_factor(_vview(slabs[n]), comm)
-            with tr.phase("AppQ"):
-                q = tsqr_apply_q(fac, np.eye(b), comm)
-            slabs[n] = _slab_from_v(np.reshape(q, (ranks[n] * d_loc, b), order="F"), ranks[n], d_loc)
-            with tr.phase("Other"):
-                h = _hview(slabs[n + 1])
-                hn = dtrmm(1.0, r, h, side=0, lower=0, trans_a=0)  # R @ H
-                tr.add_flops(float(b) * b * h.shape[1])
-                slabs[n + 1] = hn.reshape((b, slabs[n + 1].shape[1], ranks[n + 2]), order="F")
-    return DistTTTensor(comm, dt.dims, ranks, slabs, {"orthonormal": direction})
+    sweep = _BACKWARD if direction == "right" else _FORWARD
+    slabs = _qr_sweep(dt, sweep)[0] if dt.ndim > 1 else [dt.local[0].copy(order="F")]
+    return DistTTTensor(dt.comm, dt.dims, dt.ranks, slabs, {"orthonormal": direction})
 
 
 @dataclass
@@ -310,59 +391,13 @@ def round_tt(dt: DistTTTensor, opts: RoundingOptions) -> DistTTTensor:
         out.meta.update(meta)
         return out
 
-    implicit = opts.variant.endswith("I")
-    rightward_orth = opts.variant.startswith("R")
-    slabs = [s.copy(order="F") for s in dt.local]
-    ranks = list(dt.ranks)
-    facs = {}
-
-    # --- orthonormalization sweep (kept implicit for *I variants) ---
-    if rightward_orth:
-        for n in range(N - 1, 0, -1):
-            b = ranks[n]
-            with tr.phase("TSQR"):
-                fac, r = tsqr_factor(_hview(slabs[n]).T, comm)
-            if implicit:
-                facs[n] = fac
-                slabs[n] = None
-            else:
-                with tr.phase("AppQ"):
-                    q = tsqr_apply_q(fac, np.eye(b), comm)
-                slabs[n] = _slab_from_ht(q, dt.local[n].shape[1], ranks[n + 1])
-            with tr.phase("Other"):
-                v = _vview(slabs[n - 1])
-                vn = dtrmm(1.0, r, v, side=1, lower=0, trans_a=1)
-                tr.add_flops(float(v.shape[0]) * b * b)
-                slabs[n - 1] = _slab_from_v(vn, ranks[n - 1], slabs[n - 1].shape[1])
-        norm_slab = slabs[0]
-    else:
-        for n in range(N - 1):
-            b = ranks[n + 1]
-            with tr.phase("TSQR"):
-                fac, r = tsqr_factor(_vview(slabs[n]), comm)
-            if implicit:
-                facs[n] = fac
-                slabs[n] = None
-            else:
-                with tr.phase("AppQ"):
-                    q = tsqr_apply_q(fac, np.eye(b), comm)
-                slabs[n] = _slab_from_v(
-                    np.reshape(q, (ranks[n] * dt.local[n].shape[1], b), order="F"),
-                    ranks[n],
-                    dt.local[n].shape[1],
-                )
-            with tr.phase("Other"):
-                h = _hview(slabs[n + 1])
-                hn = dtrmm(1.0, r, h, side=0, lower=0, trans_a=0)
-                tr.add_flops(float(b) * b * h.shape[1])
-                slabs[n + 1] = hn.reshape((b, slabs[n + 1].shape[1], ranks[n + 2]), order="F")
-        norm_slab = slabs[N - 1]
+    orth, trunc = _sweeps(opts.variant)
+    slabs, facs = _qr_sweep(dt, orth, implicit=opts.variant.endswith("I"))
 
     # --- norm and per-bond threshold ---
     with tr.phase("Other"):
-        sq = float(np.dot(norm_slab.ravel(), norm_slab.ravel()))
-        total = comm.allreduce_sum(np.array([sq]))
-        norm_x = sqrt(max(float(total[0]), 0.0))
+        # the QR sweep leaves the norm in the core the truncation starts from
+        norm_x = _end_core_norm(comm, slabs[trunc.steps(N)[0]])
         meta["norm"] = norm_x
         if norm_x < ZERO_NORM_FLOOR:
             meta["zero"] = True
@@ -370,72 +405,9 @@ def round_tt(dt: DistTTTensor, opts: RoundingOptions) -> DistTTTensor:
         eps = opts.eps0 * norm_x / sqrt(N - 1)
         meta["eps_bond"] = eps
 
-    # --- truncation sweep (opposite direction) ---
-    if rightward_orth:
-        for n in range(N - 1):
-            b = ranks[n + 1]
-            with tr.phase("TSQR"):
-                fac2, r2 = tsqr_factor(_vview(slabs[n]), comm)
-            with tr.phase("Other"):
-                tsvd = truncated_svd(r2, eps, opts.max_rank)
-                tr.add_flops(_SVD_FLOPS_PER_B3 * b**3)
-                keep = tsvd.u.shape[1]
-                meta["error_bound_violated"] |= tsvd.capped
-                _assert_consistent_rank(comm, keep)
-            with tr.phase("AppQ"):
-                vq = tsqr_apply_q(fac2, tsvd.u, comm)
-            slabs[n] = _slab_from_v(
-                np.reshape(vq, (ranks[n] * slabs[n].shape[1], keep), order="F"),
-                ranks[n],
-                slabs[n].shape[1],
-            )
-            carry = tsvd.v * tsvd.s[None, :]  # (b, keep)
-            d_next = dt.local[n + 1].shape[1]
-            if slabs[n + 1] is None:
-                with tr.phase("AppQ"):
-                    ht = tsqr_apply_q(facs.pop(n + 1), carry, comm)
-                slabs[n + 1] = _slab_from_ht(ht, d_next, ranks[n + 2])
-            else:
-                with tr.phase("Other"):
-                    h = _hview(slabs[n + 1])
-                    hn = dgemm(1.0, carry, h, trans_a=1)  # carry^T @ H
-                    tr.add_flops(2.0 * keep * b * h.shape[1])
-                    slabs[n + 1] = hn.reshape((keep, d_next, ranks[n + 2]), order="F")
-            ranks[n + 1] = keep
-    else:
-        for n in range(N - 1, 0, -1):
-            b = ranks[n]
-            with tr.phase("TSQR"):
-                fac2, r2 = tsqr_factor(_hview(slabs[n]).T, comm)
-            with tr.phase("Other"):
-                tsvd = truncated_svd(np.asfortranarray(r2.T), eps, opts.max_rank)
-                tr.add_flops(_SVD_FLOPS_PER_B3 * b**3)
-                keep = tsvd.u.shape[1]
-                meta["error_bound_violated"] |= tsvd.capped
-                _assert_consistent_rank(comm, keep)
-            with tr.phase("AppQ"):
-                ht = tsqr_apply_q(fac2, tsvd.v, comm)
-            slabs[n] = _slab_from_ht(ht, slabs[n].shape[1], ranks[n + 1])
-            carry = tsvd.u * tsvd.s[None, :]  # (b, keep)
-            d_prev = dt.local[n - 1].shape[1]
-            if slabs[n - 1] is None:
-                with tr.phase("AppQ"):
-                    vq = tsqr_apply_q(facs.pop(n - 1), carry, comm)
-                slabs[n - 1] = _slab_from_v(
-                    np.reshape(vq, (ranks[n - 1] * d_prev, keep), order="F"),
-                    ranks[n - 1],
-                    d_prev,
-                )
-            else:
-                with tr.phase("Other"):
-                    v = _vview(slabs[n - 1])
-                    vn = dgemm(1.0, v, carry)
-                    tr.add_flops(2.0 * v.shape[0] * b * keep)
-                    slabs[n - 1] = _slab_from_v(vn, ranks[n - 1], d_prev)
-            ranks[n] = keep
-
-    meta["output_ranks"] = tuple(ranks)
-    return DistTTTensor(comm, dt.dims, tuple(ranks), slabs, meta)
+    ranks = _truncate_sweep(dt, slabs, facs, trunc, eps, opts.max_rank, meta)
+    meta["output_ranks"] = ranks
+    return DistTTTensor(comm, dt.dims, ranks, slabs, meta)
 
 
 def _assert_consistent_rank(comm: Communicator, keep: int) -> None:

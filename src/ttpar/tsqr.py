@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.linalg.blas import dtrmm
 
 from .comm import Communicator, SpmdRun
 from .errors import CapabilityError, ContractError, NumericError, ShapeError
@@ -248,9 +249,10 @@ def _binomial_factor(leaf, r, comm, shape):
 def tsqr_apply_q(factor: TSQRFactor, c, comm: Communicator) -> np.ndarray:
     """Apply the implicit Q to a b-row block: returns the local rows of Q @ [c; 0].
 
-    With ``c = I_b`` this materializes the thin Q.  On a single rank a
-    structurally upper-triangular ``c`` (the identity included) takes the
-    cheaper explicit-Q route: 2mb^2 instead of dormqr's 4mb^2.
+    With ``c = I_b`` this materializes the thin Q.  Whenever the block that
+    reaches the leaf is structurally upper triangular (on any rank; the
+    identity included), the leaf takes the cheaper explicit-Q route: 2mb^2
+    instead of dormqr's 4mb^2.
     """
     c2 = np.asarray(c, dtype=np.float64)
     if c2.ndim != 2 or c2.shape[0] != factor.b:
@@ -315,8 +317,6 @@ def _apply_leaf(leaf: LocalQR, block: np.ndarray, comm) -> np.ndarray:
             _charge(comm, _flops_orgqr(m_pad, b, b))
         if block.shape[1] == b and np.array_equal(block, np.eye(b)):
             return q
-        from scipy.linalg.blas import dtrmm
-
         out = dtrmm(1.0, block, np.asfortranarray(q), side=1, lower=0, trans_a=0)
         if comm is not None:
             comm.trace.add_flops(float(q.shape[0]) * b * block.shape[1])

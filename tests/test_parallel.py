@@ -387,3 +387,32 @@ def test_round_implicit_flop_savings():
         round_tt(dt, RoundingOptions(1e-6, variant))
         flat[variant] = dt.comm.trace.total("flops")
     assert flat["RLRI"] == pytest.approx(flat["RLR"], rel=0.05)
+
+
+# ------------------------------------------------------------ input safety
+
+SWEEPS = {
+    "ortho-left": lambda dt: orthonormalize(dt, "left"),
+    "ortho-right": lambda dt: orthonormalize(dt, "right"),
+    **{f"round-{v}": (lambda dt, v=v: round_tt(dt, RoundingOptions(1e-10, v)))
+       for v in ("RLR", "RLRI", "LRL", "LRLI")},
+}
+
+
+@pytest.mark.parametrize("op", sorted(SWEEPS))
+@pytest.mark.parametrize("nranks", [1, 2, 3])
+def test_sweeps_neither_mutate_nor_alias_inputs(nranks, op):
+    # the sweeps build every output core afresh instead of copying the input
+    # up front; y rounds 6 -> 3, so the truncation steps run too
+    _, y = redundant_pair((4, 5, 3, 4), 3, seed=17)
+    one_mode = random_tt((5,), (1, 1), seed=18)
+
+    def body(comm):
+        for t in (y, one_mode):
+            dt = distribute(t, comm)
+            before = [s.tobytes() for s in dt.local]
+            out = SWEEPS[op](dt)
+            assert [s.tobytes() for s in dt.local] == before
+            assert not any(np.shares_memory(o, s) for o in out.local for s in dt.local)
+
+    run_spmd(nranks, body)
