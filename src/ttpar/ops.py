@@ -171,8 +171,10 @@ def _pivoted_cholesky(w: np.ndarray):
     perm = np.asarray(piv, dtype=int) - 1
     pl = np.empty_like(lfac)
     pl[perm] = lfac
-    resid = np.linalg.norm(pl @ pl.T - w)
-    if resid > _GRAM_RESID_RTOL * max(np.linalg.norm(w), 1e-300):
+    # compare at unit scale: squaring entries past ~1e154 overflows the norms
+    s = float(np.max(np.abs(w))) or 1.0
+    resid = np.linalg.norm((pl @ pl.T - w) / s)
+    if resid > _GRAM_RESID_RTOL * np.linalg.norm(w / s):
         raise _IndefiniteGram(f"Gram carry is not PSD (residual {resid:.3e})")
     return lfac, perm, int(rank)
 

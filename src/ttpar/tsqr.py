@@ -7,16 +7,22 @@ vectors at the leaf plus one small factorization per tree node).  Q is never
 formed; `tsqr_apply_q` pushes a b-row block back down the tree, which is all
 the TT sweeps ever need.
 
-Two trees are provided:
+Both trees are written once, as a per-rank exchange schedule (`_schedule`):
+an ordered list of ``(level, peer, role)`` steps.  A ``pair`` step swaps R
+with the peer and both ranks factor the same stacked node; a ``child`` step
+receives the peer's R and factors it below this rank's; a ``parent`` step
+ships R to the peer and ends the rank's part of the reduction.  Factor walks
+the schedule forward, and apply walks the resulting nodes backward, handing
+each child its half of the block.
 
-* ``butterfly`` -- an all-to-all exchange pattern that leaves R (and every
-  tree node) replicated, so the apply phase needs *no* communication when P
-  is a power of two.  Other P are handled by folding the ranks above the
-  largest power of two into partner ranks with one extra "cleanup" QR before
-  the butterfly and one return message after it (and one message per such
-  pair during apply).
-* ``binomial`` -- a plain reduction tree; R lands on rank 0 only and the
-  apply phase sends one message per tree edge.
+* ``butterfly`` -- ``pair`` steps only when P is a power of two, which leaves
+  R (and every tree node) replicated, so the apply phase needs *no*
+  communication.  Other P fold each rank above the largest power of two into
+  a partner (a ``parent``/``child`` edge, the "cleanup" QR) before the
+  butterfly; the partner returns the final R after it, and apply sends one
+  message per such pair.
+* ``binomial`` -- ``child`` and ``parent`` steps of a plain reduction tree;
+  R lands on rank 0 only and the apply phase sends one message per tree edge.
 
 The triangular factor is sign-fixed to a nonnegative diagonal, which makes R
 unique for full-column-rank inputs and therefore identical no matter how the
@@ -136,32 +142,56 @@ class _TreeNode:
     level: int
     top_is_self: bool
     fac: LocalQR
+    child: int | None = None
 
 
 @dataclass
 class TSQRFactor:
     """Implicit orthonormal factor: leaf QR + tree of stacked-pair QRs.
 
-    ``tree`` holds butterfly levels in factor order (coarsest exchange
-    first); ``star`` is the non-power-of-two cleanup node on partner ranks.
-    ``shape`` records ``(local rows, b, P, p)``.  Binomial factors also note
-    ``exit_level``, the level at which this rank shipped its R upward.
+    ``tree`` holds this rank's tree nodes in factor order, one per ``pair``
+    or ``child`` exchange of its `_schedule`; a node with a ``child`` hands
+    that rank its half of the block during apply.  ``star`` is the
+    butterfly's non-power-of-two cleanup node on partner ranks, kept apart
+    from the butterfly levels.  ``parent`` is the rank this one shipped its
+    R to (None on ranks that never do).  ``shape`` records
+    ``(local rows, b, P, p)``.
     """
 
     leaf: LocalQR
     tree: list = field(default_factory=list)
     star: _TreeNode | None = None
-    variant: str = "butterfly"
     shape: tuple = (0, 0, 1, 0)
-    exit_level: int | None = None
+    parent: int | None = None
 
     @property
     def b(self) -> int:
         return self.leaf.b
 
 
-def _charge(comm, flops):
-    comm.trace.add_flops(flops)
+def _schedule(variant: str, P: int, p: int) -> list:
+    """Rank p's factor exchanges in order, as ``(level, peer, role)``.
+
+    ``pair``: both ranks swap R and factor the same stacked node (butterfly
+    levels).  ``child``: receive the peer's R and factor it below ours
+    (binomial edges and the butterfly's non-power-of-two fold).
+    ``parent``: ship R to the peer and stop.
+    """
+    if variant == "binomial":
+        steps = []
+        for level in range((P - 1).bit_length()):  # ceil(log2 P) levels
+            step = 1 << level
+            if p & step:
+                return steps + [(level, p - step, "parent")]
+            if p + step < P:
+                steps.append((level, p + step, "child"))
+        return steps
+    floor_log = P.bit_length() - 1
+    p_reg = 1 << floor_log
+    if p >= p_reg:
+        return [(floor_log, p - p_reg, "parent")]
+    steps = [(floor_log, p + p_reg, "child")] if p + p_reg < P else []
+    return steps + [(level, p ^ (1 << level), "pair") for level in range(floor_log - 1, -1, -1)]
 
 
 def tsqr_factor(local_block, comm: Communicator, variant: str = "butterfly"):
@@ -175,84 +205,39 @@ def tsqr_factor(local_block, comm: Communicator, variant: str = "butterfly"):
         raise ContractError(f"unknown TSQR variant {variant!r}; pick from {VARIANTS}")
     a = np.asarray(local_block, dtype=np.float64)
     leaf, r = local_qr(a)
-    _charge(comm, _flops_geqrf(max(leaf.rows, leaf.b), leaf.b))
-    P, p = comm.size, comm.rank
-    shape = (leaf.rows, leaf.b, P, p)
-    if P == 1:
-        return TSQRFactor(leaf, [], None, variant, shape), r
-    if variant == "butterfly":
-        return _butterfly_factor(leaf, r, comm, shape)
-    return _binomial_factor(leaf, r, comm, shape)
-
-
-def _butterfly_factor(leaf, r, comm, shape):
-    P, p = comm.size, comm.rank
-    b = leaf.b
-    floor_log = P.bit_length() - 1
-    p_reg = 1 << floor_log
-    n_rem = P - p_reg
-
-    if p >= p_reg:
-        # Remainder rank: hand the leaf triangle to the partner, sit out the
-        # butterfly, and collect the final R afterwards.
-        partner = p - p_reg
-        comm.sendrecv(partner, r)
-        r_final = comm.sendrecv(partner, np.zeros(0))
-        return TSQRFactor(leaf, [], None, "butterfly", shape), r_final
-
-    star = None
-    if p < n_rem:
-        r_extra = comm.sendrecv(p + p_reg, np.zeros(0))
-        fac, r = local_qr(np.vstack([r, r_extra]))
-        _charge(comm, _flops_geqrf(2 * b, b))
-        star = _TreeNode(floor_log, True, fac)
-
-    tree = []
-    for level in range(floor_log - 1, -1, -1):
-        width = 1 << (level + 1)
-        partner = (p // width) * width + (p + (1 << level)) % width
-        r_peer = comm.sendrecv(partner, r)
-        stacked = np.vstack([r, r_peer] if p < partner else [r_peer, r])
-        fac, r = local_qr(stacked)
-        _charge(comm, _flops_geqrf(2 * b, b))
-        tree.append(_TreeNode(level, p < partner, fac))
-
-    if p < n_rem:
-        comm.sendrecv(p + p_reg, r)
-    return TSQRFactor(leaf, tree, star, "butterfly", shape), r
-
-
-def _binomial_factor(leaf, r, comm, shape):
-    P, p = comm.size, comm.rank
-    b = leaf.b
-    levels = (P - 1).bit_length()  # ceil(log2 P)
-    tree = []
-    exit_level = None
-    for level in range(levels):
-        step = 1 << level
-        width = step << 1
-        if p % width == 0:
-            child = p + step
-            if child < P:
-                r_child = comm.sendrecv(child, np.zeros(0))
-                fac, r = local_qr(np.vstack([r, r_child]))
-                _charge(comm, _flops_geqrf(2 * b, b))
-                tree.append(_TreeNode(level, True, fac))
-        elif p % width == step:
-            comm.sendrecv(p - step, r)
-            exit_level = level
+    comm.trace.add_flops(_flops_geqrf(max(leaf.rows, leaf.b), leaf.b))
+    P, p, b = comm.size, comm.rank, leaf.b
+    tree, parent = [], None
+    for level, peer, role in _schedule(variant, P, p):
+        if role == "parent":
+            comm.sendrecv(peer, r)
+            r, parent = None, peer
             break
-    fac = TSQRFactor(leaf, tree, None, "binomial", shape, exit_level)
-    return fac, (r if p == 0 else None)
+        r_peer = comm.sendrecv(peer, r if role == "pair" else np.zeros(0))
+        top = role == "child" or p < peer
+        fac, r = local_qr(np.vstack([r, r_peer] if top else [r_peer, r]))
+        comm.trace.add_flops(_flops_geqrf(2 * b, b))
+        tree.append(_TreeNode(level, top, fac, peer if role == "child" else None))
+    star = None
+    if variant == "butterfly":
+        # a rank folded in above the largest power of two gets the final R back
+        if parent is not None:
+            r = comm.sendrecv(parent, np.zeros(0))
+        elif tree and tree[0].child is not None:
+            star = tree.pop(0)
+            comm.sendrecv(star.child, r)
+    return TSQRFactor(leaf, tree, star, (leaf.rows, b, P, p), parent), r
 
 
 def tsqr_apply_q(factor: TSQRFactor, c, comm: Communicator) -> np.ndarray:
     """Apply the implicit Q to a b-row block: returns the local rows of Q @ [c; 0].
 
-    With ``c = I_b`` this materializes the thin Q.  Whenever the block that
-    reaches the leaf is structurally upper triangular (on any rank; the
-    identity included), the leaf takes the cheaper explicit-Q route: 2mb^2
-    instead of dormqr's 4mb^2.
+    The block starts from ``c`` on ranks without a parent and arrives from
+    the parent elsewhere; it then descends this rank's tree nodes in reverse
+    factor order.  With ``c = I_b`` this materializes the thin Q.  Whenever
+    the block that reaches the leaf is structurally upper triangular (on any
+    rank; the identity included), the leaf takes the cheaper explicit-Q
+    route: 2mb^2 instead of dormqr's 4mb^2.
     """
     c2 = np.asarray(c, dtype=np.float64)
     if c2.ndim != 2 or c2.shape[0] != factor.b:
@@ -265,46 +250,14 @@ def tsqr_apply_q(factor: TSQRFactor, c, comm: Communicator) -> np.ndarray:
         if (comm.size, comm.rank) != (P, p):
             raise ContractError("factor belongs to a different communicator layout")
 
-    if P == 1:
-        return _apply_leaf(factor.leaf, c2, comm)
-
-    if factor.variant == "butterfly":
-        floor_log = P.bit_length() - 1
-        p_reg = 1 << floor_log
-        if p >= p_reg:
-            mine = comm.sendrecv(p - p_reg, np.zeros(0))
-            return _apply_leaf(factor.leaf, mine, comm)
-        block = c2
-        for node in reversed(factor.tree):
-            both = node.fac.apply(block)
-            _charge(comm, _flops_ormqr(2 * b, block.shape[1], b))
-            block = both[:b] if node.top_is_self else both[b:]
-        if factor.star is not None:
-            both = factor.star.fac.apply(block)
-            _charge(comm, _flops_ormqr(2 * b, block.shape[1], b))
-            comm.sendrecv(p + p_reg, both[b:])
-            block = both[:b]
-        return _apply_leaf(factor.leaf, block, comm)
-
-    # binomial: descend the reduction tree, handing each child its half
-    if p == 0:
-        block = c2
-    else:
-        block = None
-    levels = (P - 1).bit_length()
-    nodes = {node.level: node for node in factor.tree}
-    for level in range(levels - 1, -1, -1):
-        step = 1 << level
-        if block is None:
-            if factor.exit_level == level:
-                block = comm.sendrecv(p - step, np.zeros(0))
-            continue
-        node = nodes.get(level)
-        if node is not None:
-            both = node.fac.apply(block)
-            _charge(comm, _flops_ormqr(2 * b, block.shape[1], b))
-            comm.sendrecv(p + step, both[b:])
-            block = both[:b]
+    block = c2 if factor.parent is None else comm.sendrecv(factor.parent, np.zeros(0))
+    star = [] if factor.star is None else [factor.star]
+    for node in reversed(star + factor.tree):
+        both = node.fac.apply(block)
+        comm.trace.add_flops(_flops_ormqr(2 * b, block.shape[1], b))
+        if node.child is not None:
+            comm.sendrecv(node.child, both[b:])
+        block = both[:b] if node.top_is_self else both[b:]
     return _apply_leaf(factor.leaf, block, comm)
 
 
@@ -314,7 +267,7 @@ def _apply_leaf(leaf: LocalQR, block: np.ndarray, comm) -> np.ndarray:
     if _is_upper_triangular(block):
         q = leaf.explicit_q()
         if comm is not None:
-            _charge(comm, _flops_orgqr(m_pad, b, b))
+            comm.trace.add_flops(_flops_orgqr(m_pad, b, b))
         if block.shape[1] == b and np.array_equal(block, np.eye(b)):
             return q
         out = dtrmm(1.0, block, np.asfortranarray(q), side=1, lower=0, trans_a=0)
@@ -323,7 +276,7 @@ def _apply_leaf(leaf: LocalQR, block: np.ndarray, comm) -> np.ndarray:
         return out
     out = leaf.apply(block)
     if comm is not None:
-        _charge(comm, _flops_ormqr(m_pad, block.shape[1], b))
+        comm.trace.add_flops(_flops_ormqr(m_pad, block.shape[1], b))
     return out
 
 

@@ -1,9 +1,11 @@
 """Self-contained correctness checks against dense oracles at desk scale.
 
-Every check reconstructs expected values through an independent route (einsum
+Every check reconstructs expected values through an independent route (tensordot
 contractions, dense Householder QR, explicit Kronecker matrices) rather than
 through the code under test.  `run_checks` powers the ``verify`` CLI
-subcommand and returns ``(name, ok, detail)`` rows; it never raises.
+subcommand and returns ``(name, ok, detail)`` rows; it never raises.  The
+oracles themselves (`dense`, `dense_operator`, `reference_qr`) are public so
+the test suite compares against the same independent routes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ _FULL_SHAPES = [
 ]
 
 
-def _dense(t: TTTensor) -> np.ndarray:
+def dense(t: TTTensor) -> np.ndarray:
     """Independent dense reconstruction by pairwise tensordot contraction."""
     out = t.cores[0].array
     for c in t.cores[1:]:
@@ -39,12 +41,30 @@ def _dense(t: TTTensor) -> np.ndarray:
     return out.reshape(t.dims)
 
 
+def dense_operator(op) -> np.ndarray:
+    """Explicit matrix of a `KroneckerOperator`, acting on Fortran-flattened tensors."""
+    mats = []
+    for factors in op.terms:
+        m = np.ones((1, 1))
+        for f in factors:  # first mode fastest in the flat index
+            m = np.kron(f.toarray(), m)
+        mats.append(m)
+    return sum(mats)
+
+
+def reference_qr(a) -> tuple:
+    """Sequential thin QR by numpy, sign-fixed to a nonnegative diagonal of R."""
+    q, r = np.linalg.qr(a)
+    s = np.where(np.diagonal(r) < 0, -1.0, 1.0)
+    return q * s[None, :], r * s[:, None]
+
+
 def _check_entry_full(quick: bool):
     worst = 0.0
     shapes = _QUICK_SHAPES if quick else _FULL_SHAPES
     for dims, ranks in shapes:
         t = random_tt(dims, ranks, seed=101)
-        want = _dense(t)
+        want = dense(t)
         got = full(t).as_array()
         worst = max(worst, float(np.abs(got - want).max()))
         idx = tuple(d - 1 for d in dims)
@@ -64,9 +84,7 @@ def _check_split_identity(quick: bool):
 def _check_tsqr(quick: bool):
     rng = np.random.default_rng(7)
     a = rng.standard_normal((60, 5))
-    q_ref, r_ref = np.linalg.qr(a)
-    signs = np.where(np.diagonal(r_ref) < 0, -1.0, 1.0)
-    r_ref = r_ref * signs[:, None]
+    _, r_ref = reference_qr(a)
     worst = 0.0
     from .comm import run_spmd
 
@@ -90,7 +108,7 @@ def _check_orthonormalize(quick: bool):
     from .comm import run_spmd
 
     t = random_tt((5, 4, 6), (1, 3, 4, 1), seed=11)
-    want = _dense(t)
+    want = dense(t)
     worst = 0.0
     for p in (2,) if quick else (1, 2, 3):
         def body(comm):
@@ -114,7 +132,7 @@ def _check_rounding(quick: bool):
     for seed in range(1 if quick else 5):
         x = random_tt((5, 4, 5), (1, 3, 3, 1), seed=300 + seed)
         y = ops.add(ops.scale(x, 2.0), ops.scale(x, -1.0))
-        want = _dense(x)
+        want = dense(x)
         for eps0 in (1e-6,) if quick else (1e-2, 1e-6, 1e-10):
             def body(comm):
                 out = round_tt(distribute(y, comm), RoundingOptions(eps0))
@@ -137,7 +155,7 @@ def _check_arithmetic(quick: bool):
     for dims, ranks in shapes:
         x = random_tt(dims, ranks, seed=401)
         y = random_tt(dims, ranks, seed=402)
-        dx, dy = _dense(x), _dense(y)
+        dx, dy = dense(x), dense(y)
         scale = np.linalg.norm(dx) * np.linalg.norm(dy)
         worst = max(worst, np.linalg.norm(full(ops.add(x, y)).as_array() - (dx + dy)))
         worst = max(worst, np.linalg.norm(full(ops.hadamard(x, y)).as_array() - dx * dy))

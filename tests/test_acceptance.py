@@ -36,6 +36,7 @@ from ttpar import (
 from ttpar.cost import chain_estimate, estimate
 from ttpar.ops import NORM_METHODS
 from ttpar.parallel import ROUNDING_VARIANTS
+from ttpar.verify import dense, dense_operator, reference_qr
 
 from tests_support import redundant_pair
 
@@ -46,13 +47,6 @@ def announce(capsys, num, label, ok, detail=""):
     with capsys.disabled():
         tail = f" ({detail})" if detail else ""
         print(f"\n[acceptance] {num} {label}: {'PASS' if ok else 'FAIL'}{tail}")
-
-
-def dense(t) -> np.ndarray:
-    out = t.cores[0].array
-    for c in t.cores[1:]:
-        out = np.tensordot(out, c.array, axes=(-1, 0))
-    return out.reshape(t.dims)
 
 
 def rel(a, b) -> float:
@@ -72,16 +66,6 @@ def shift_operator(dims) -> KroneckerOperator:
     shifted = [sp.csr_matrix((np.ones(d), (np.arange(d), (np.arange(d) + 1) % d)),
                              shape=(d, d)) for d in dims]
     return KroneckerOperator(dims, [eye, shifted])
-
-
-def dense_operator(op) -> np.ndarray:
-    mats = []
-    for factors in op.terms:
-        m = np.ones((1, 1))
-        for f in factors:  # first mode fastest in the flat index
-            m = np.kron(f.toarray(), m)
-        mats.append(m)
-    return sum(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +180,7 @@ def test_criterion_4_tsqr(capsys):
     for P in range(1, 10):
         for m, b in ((7 * P + 3, 5), (512, 16), (37, 3)):
             a = rng.standard_normal((m, b))
-            q_ref, r_ref = np.linalg.qr(a)
-            sgn = np.sign(np.diag(r_ref))
-            sgn[sgn == 0] = 1.0
-            r_ref = sgn[:, None] * r_ref
+            _, r_ref = reference_qr(a)
 
             def body(comm):
                 lo, hi = block_bounds(m, comm.size, comm.rank)

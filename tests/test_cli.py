@@ -1,11 +1,13 @@
 """Command-line front end: subcommands, determinism, exit codes."""
 
 import csv
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ttpar
 from ttpar.cli import MODELS, build_parser, main
 
 
@@ -123,9 +125,13 @@ def test_run_memory_guard_blocks_unscaled_models(capsys):
 def cli_subprocess(argv):
     # the runtime backend initializes MPI, which must never happen inside the
     # pytest process: OpenMPI's fork protection silently kills any mpirun the
-    # suite spawns afterwards
+    # suite spawns afterwards.  The child imports the same ttpar as this
+    # process, installed or not.
+    src = os.path.dirname(os.path.dirname(ttpar.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "ttpar", *map(str, argv)],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_runtime_backend_single_process(tmp_path):
@@ -187,10 +193,7 @@ def test_cost_seconds_use_given_machine_parameters(tmp_path):
 
 
 def test_verify_quick_via_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ttpar", "verify", "--quick"],
-        capture_output=True, text=True, timeout=300,
-    )
+    proc = cli_subprocess(["verify", "--quick"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("[verify]")]
     assert len(lines) >= 8

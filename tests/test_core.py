@@ -17,15 +17,7 @@ from ttpar.core import (
     verify_quadprod,
 )
 from ttpar.errors import BoundsError, CapacityError, ShapeError
-
-
-def dense_from_tt(t):
-    """Independent dense oracle: contract cores with einsum, no shared code."""
-    arrs = [c.array for c in t.cores]
-    acc = arrs[0]
-    for a in arrs[1:]:
-        acc = np.einsum("...r,rjs->...js", acc, a)
-    return acc[0, ..., 0]
+from ttpar.verify import dense as dense_from_tt
 
 
 def random_chain(rng, n_max=5, d_max=6, r_max=5):
@@ -73,7 +65,7 @@ def test_tensor_validation():
 
 
 def test_entry_matches_einsum_oracle():
-    """entry() agrees with an independent einsum contraction on random trains."""
+    """entry() agrees with the independent dense oracle on random trains."""
     rng = np.random.default_rng(1)
     for _ in range(10):
         dims, ranks = random_chain(rng)

@@ -1,5 +1,7 @@
 """TT arithmetic against dense oracles, plus the Kronecker operator format."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,10 +24,7 @@ from ttpar import (
 )
 from ttpar.errors import CapacityError, ContractError, ShapeError
 from ttpar.ops import _IndefiniteGram, _pivoted_cholesky
-
-
-def dense(t) -> np.ndarray:
-    return full(t).as_array()
+from ttpar.verify import dense, dense_operator
 
 
 def pair(seed, dims=(4, 5, 3), rx=(1, 3, 2, 1), ry=(1, 2, 4, 1)):
@@ -223,10 +222,21 @@ def test_norm_sym_falls_back_on_indefinite_gram(monkeypatch):
     assert val == pytest.approx(want, rel=1e-11)
 
 
-def test_pivoted_cholesky_rejects_indefinite():
-    w = np.diag([1.0, -1.0])
+@pytest.mark.parametrize("magnitude", [1.0, 1e200])
+def test_pivoted_cholesky_rejects_indefinite(magnitude):
+    w = np.diag([1.0, -1.0]) * magnitude
     with pytest.raises(_IndefiniteGram):
         _pivoted_cholesky(w)
+
+
+def test_norm_sym_large_carry_does_not_overflow():
+    # Gram carry entries reach ~1e160, past where squaring them overflows
+    x = random_tt((4, 5, 3), (1, 3, 2, 1), seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        val, info = norm(scale(x, 1e80), "innerprod_sym", return_info=True)
+    assert not info["fallback"]
+    assert val == pytest.approx(1e80 * np.linalg.norm(dense(x)), rel=1e-11)
 
 
 def test_pivoted_cholesky_reconstructs_psd():
@@ -279,16 +289,6 @@ def kron_sum_operator(dims):
         row[n] = laplacian(dims[n])
         terms.append(row)
     return KroneckerOperator(dims, terms)
-
-
-def dense_operator(op):
-    mats = []
-    for factors in op.terms:
-        m = np.ones((1, 1))
-        for f in factors:  # first mode fastest in the flat index
-            m = np.kron(f.toarray(), m)
-        mats.append(m)
-    return sum(mats)
 
 
 def test_identity_operator_is_identity():

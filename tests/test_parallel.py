@@ -7,7 +7,6 @@ from ttpar import (
     DistTTTensor,
     RoundingOptions,
     SerialComm,
-    TTTensor,
     block_bounds,
     distribute,
     gather,
@@ -18,12 +17,8 @@ from ttpar import (
     serial_tt,
     truncated_svd,
 )
-from ttpar.core import full
 from ttpar.errors import ContractError, ShapeError
-
-
-def dense(t: TTTensor) -> np.ndarray:
-    return full(t).as_array()
+from ttpar.verify import dense
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

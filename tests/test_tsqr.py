@@ -6,6 +6,7 @@ import pytest
 from ttpar.comm import SerialComm, run_spmd
 from ttpar.errors import CapabilityError, ContractError, NumericError, ShapeError
 from ttpar.tsqr import local_qr, message_trace, tsqr_apply_q, tsqr_factor
+from ttpar.verify import reference_qr
 
 
 def row_blocks(a, nranks):
@@ -13,13 +14,6 @@ def row_blocks(a, nranks):
     m = a.shape[0]
     chunk = -(-m // nranks)
     return [a[p * chunk : min((p + 1) * chunk, m)] for p in range(nranks)]
-
-
-def reference_qr(a):
-    """Sequential sign-fixed thin QR oracle built on numpy only."""
-    q, r = np.linalg.qr(a)
-    s = np.where(np.diagonal(r) < 0, -1.0, 1.0)
-    return q * s[None, :], r * s[:, None]
 
 
 def tsqr_gathered(a, nranks, variant="butterfly", c=None):
@@ -116,13 +110,15 @@ def test_variant_equivalence(nranks, variant):
     assert np.allclose(q.T @ q, np.eye(b), atol=1e-12)
 
 
-def test_apply_general_block_roundtrip():
+@pytest.mark.parametrize("variant", ["butterfly", "binomial"])
+@pytest.mark.parametrize("nranks", [3, 4, 5, 6])
+def test_apply_general_block_roundtrip(nranks, variant):
     """Q @ [C; 0] for a random C equals the dense product with gathered Q."""
     rng = np.random.default_rng(3)
     a = rng.standard_normal((90, 5))
     c = rng.standard_normal((5, 3))
-    q, _, _ = tsqr_gathered(a, 4)
-    got, _, _ = tsqr_gathered(a, 4, c=c)
+    q, _, _ = tsqr_gathered(a, nranks, variant=variant)
+    got, _, _ = tsqr_gathered(a, nranks, variant=variant, c=c)
     assert np.allclose(got, q @ c, atol=1e-12)
 
 
@@ -200,6 +196,35 @@ def test_nonpowitwo_message_counts_and_levels():
     per_rank = message_trace(run)
     apply_msgs = [phases.get("apply", (0, 0))[0] for phases in per_rank]
     assert apply_msgs == [1, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("variant", ["butterfly", "binomial"])
+@pytest.mark.parametrize("nranks", list(range(1, 10)))
+def test_message_counts_match_closed_forms(nranks, variant):
+    """Per-rank factor and apply messages for every P = 1..9 on both trees."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((nranks * 5, 3))
+    blocks = row_blocks(a, nranks)
+
+    def body(comm):
+        with comm.trace.phase("factor"):
+            fac, _ = tsqr_factor(blocks[comm.rank], comm, variant=variant)
+        with comm.trace.phase("apply"):
+            tsqr_apply_q(fac, np.eye(3), comm)
+
+    per_rank = message_trace(run_spmd(nranks, body))
+    got = [(ph.get("factor", (0, 0))[0], ph.get("apply", (0, 0))[0]) for ph in per_rank]
+    if variant == "binomial":
+        # rank q > 0 hangs below q minus its lowest set bit; one message per
+        # incident edge and phase
+        edges = [(q - (q & -q), q) for q in range(1, nranks)]
+        want = [(d, d) for d in (sum(p in e for e in edges) for p in range(nranks))]
+    else:
+        p_reg = 1 << (nranks.bit_length() - 1)
+        folded = {p % p_reg for p in range(p_reg, nranks)} | set(range(p_reg, nranks))
+        want = [((p < p_reg) * (p_reg.bit_length() - 1) + 2 * (p in folded), int(p in folded))
+                for p in range(nranks)]
+    assert got == want
 
 
 def test_apply_identity_fast_path_flops():
