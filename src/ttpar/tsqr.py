@@ -27,6 +27,15 @@ each child its half of the block.
 The triangular factor is sign-fixed to a nonnegative diagonal, which makes R
 unique for full-column-rank inputs and therefore identical no matter how the
 rows are distributed.
+
+Every QR is LAPACK Householder QR in dgeqrf's packed layout, so one apply
+(dormqr) and one explicit Q (dorgqr) serve all of them.  The kernel depends
+on the panel's shape (`_wy_route`): dgeqrf only blocks from 128 columns on,
+so tall leaf panels of at least 48 columns go to the blocked compact-WY
+dgeqrt instead, whose tau is read off the diagonals of its T factor.  scipy's
+wrapper of dgeqrt holds the GIL, which would serialize ranks simulated as
+threads, so it is called through `ttpar._lapack`, which releases it.  Tree
+nodes and short panels stay on dgeqrf.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.linalg.blas import dtrmm
 
+from . import _lapack
 from .comm import Communicator, SpmdRun
 from .errors import CapabilityError, ContractError, NumericError, ShapeError
 
@@ -61,10 +71,12 @@ def _flops_orgqr(m: int, n: int, k: int) -> float:
 class LocalQR:
     """Packed Householder QR of one block, zero-padded to at least b rows.
 
-    ``qr``/``tau`` are the raw LAPACK geqrf outputs of the padded block;
-    ``signs`` flips reflector columns so the stored R has a nonnegative
-    diagonal; ``rows`` is the original (unpadded) row count, which may be
-    anything >= 0 -- zero-row blocks contribute R = 0.
+    ``qr``/``tau`` are the padded block's reflectors and R in LAPACK dgeqrf's
+    layout: dgeqrf's own outputs, or on tall panels (`_wy_route`) dgeqrt's
+    factored block with tau taken from the diagonals of its T factor, which
+    is then dropped.  ``signs`` flips reflector columns so the stored R has
+    a nonnegative diagonal; ``rows`` is the original (unpadded) row count,
+    which may be anything >= 0 -- zero-row blocks contribute R = 0.
     """
 
     qr: np.ndarray
@@ -86,7 +98,10 @@ class LocalQR:
             raise ShapeError(f"expected a ({self.b}, k) block, got {c.shape}")
         x = np.zeros((self.qr.shape[0], c.shape[1]), order="F")
         x[: self.b] = self.signs[:, None] * c
-        lwork = _ormqr_lwork(self.qr, self.tau, x)
+        # dormqr's workspace query answers ncols * nb + 65 * 64 for its block
+        # size nb <= 64; the bound at nb = 64 keeps the blocked path without
+        # a query call per apply
+        lwork = max(1, c.shape[1]) * 64 + 65 * 64
         cq, _, info = lapack.dormqr("L", "N", self.qr, self.tau, x, lwork, overwrite_c=1)
         if info != 0:
             raise NumericError(f"dormqr failed with info={info}")
@@ -100,11 +115,36 @@ class LocalQR:
         return q[: self.rows] * self.signs[None, :]
 
 
-def _ormqr_lwork(qr, tau, c):
-    _, work, info = lapack.dormqr("L", "N", qr, tau, c, -1)
-    if info != 0:
-        raise NumericError(f"dormqr workspace query failed with info={info}")
-    return max(1, int(work[0]))
+#: Block size of the compact-WY leaf factorization.
+_WY_NB = 32
+
+
+def _wy_route(m: int, b: int) -> bool:
+    """Whether an m x b panel is factored by dgeqrt instead of dgeqrf.
+
+    dgeqrf only takes its blocked path from 128 columns on (ilaenv's
+    crossover), so every panel here runs its BLAS-2 code; dgeqrt with
+    nb = 32 is blocked at any width.  It is called through `_lapack`, which
+    releases the GIL, because scipy's wrapper of it does not (two threads:
+    1.0x over one) while dgeqrf's does.  The binding costs about 10 us per
+    call, and dgeqrt loses to dgeqrf on narrow or short panels.  dgeqrt time
+    over dgeqrf time, single-threaded (best of repeated calls, median of
+    three; OpenBLAS 0.3.31 on a 2-core x86-64 VM):
+
+    ======  =====  =====  =====  =====  ======
+    b       m=2b   m=4b   m=8b   m=20b  m=100b
+    ======  =====  =====  =====  =====  ======
+    30      3.14   2.28   1.46   0.94   0.72
+    48      1.80   1.02   0.70   0.59   0.51
+    64      1.08   0.72   0.60   0.51   0.40
+    100     0.61   0.47   0.44   0.41   0.26
+    ======  =====  =====  =====  =====  ======
+
+    The rule takes the tall panels, where the gain is large, and leaves
+    the tree nodes (2b x b) on dgeqrf: near break-even below 100 columns,
+    and their structured kernel is dtpqrt, not dgeqrt.
+    """
+    return b >= 48 and m >= 4 * b
 
 
 def local_qr(block) -> tuple:
@@ -128,9 +168,15 @@ def local_qr(block) -> tuple:
         af = pad
     else:
         af = np.array(a, order="F", copy=True)
-    qr, tau, _, info = lapack.dgeqrf(af, overwrite_a=1)
-    if info != 0:
-        raise NumericError(f"dgeqrf failed with info={info}")
+    if _wy_route(*af.shape):
+        t, info = _lapack.dgeqrt(af, _WY_NB)
+        if info != 0:
+            raise NumericError(f"dgeqrt failed with info={info}")
+        qr, tau = af, t[np.arange(b) % t.shape[0], np.arange(b)]
+    else:
+        qr, tau, _, info = lapack.dgeqrf(af, overwrite_a=1)
+        if info != 0:
+            raise NumericError(f"dgeqrf failed with info={info}")
     diag = np.diagonal(qr)[:b]
     signs = np.where(diag < 0, -1.0, 1.0)
     fac = LocalQR(qr, tau, signs, rows=m)

@@ -1,13 +1,12 @@
 """Command-line front end: subcommands, determinism, exit codes."""
 
 import csv
-import os
 import subprocess
 import sys
 
 import pytest
 
-import ttpar
+from tests_support import child_env
 from ttpar.cli import MODELS, build_parser, main
 
 
@@ -127,11 +126,8 @@ def cli_subprocess(argv):
     # pytest process: OpenMPI's fork protection silently kills any mpirun the
     # suite spawns afterwards.  The child imports the same ttpar as this
     # process, installed or not.
-    src = os.path.dirname(os.path.dirname(ttpar.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "ttpar", *map(str, argv)],
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, timeout=300, env=child_env())
 
 
 def test_runtime_backend_single_process(tmp_path):

@@ -8,6 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from tests_support import child_env
 from ttpar.comm import CostModelParams, SerialComm, Trace, run_spmd
 from ttpar.errors import ContractError, DeadlockError
 
@@ -206,12 +207,13 @@ def test_mpi_backend_smoke():
         print("MPI-OK-rank", c.rank)
         """
     )
+    # the children import the same ttpar as this process, installed or not
     cmd = [
-        "mpirun", "--allow-run-as-root", "--oversubscribe", "-n", "2",
+        "mpirun", "--allow-run-as-root", "--oversubscribe", "-x", "PYTHONPATH", "-n", "2",
         sys.executable, "-c", script,
     ]
     try:
-        out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        out = subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=child_env())
     except subprocess.TimeoutExpired:
         pytest.skip("mpirun timed out in this environment")
     if out.returncode != 0 and "MPI-OK" not in out.stdout:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+from ttpar import _lapack, tsqr
 from ttpar.comm import SerialComm, run_spmd
 from ttpar.errors import CapabilityError, ContractError, NumericError, ShapeError
 from ttpar.tsqr import local_qr, message_trace, tsqr_apply_q, tsqr_factor
@@ -79,6 +81,91 @@ def test_local_qr_rejects_nonfinite():
         local_qr(a)
     with pytest.raises(ShapeError):
         local_qr(np.ones(4))
+
+
+@pytest.mark.parametrize("shape", [(400, 50), (1000, 64), (200, 48), (7, 3), (1, 1)])
+def test_dgeqrt_binding_matches_scipy(shape):
+    """The GIL-free dgeqrt is bitwise scipy's wrapper; T's diagonal is tau."""
+    a = np.random.default_rng(20).standard_normal(shape)
+    nb = min(32, *shape)
+    got = np.asfortranarray(a)
+    t, info = _lapack.dgeqrt(got, 32)
+    want, t_want, info_want = lapack.dgeqrt(nb, a)
+    assert info == info_want == 0
+    assert np.array_equal(got, want) and np.array_equal(t, t_want)
+    _, tau, _, _ = lapack.dgeqrf(a)
+    k = np.arange(min(shape))
+    assert np.allclose(t[k % nb, k], tau, rtol=0, atol=1e-15)
+
+
+def test_dgeqrt_binding_rejects_bad_layout():
+    """Only writable F-contiguous float64 matrices reach the raw pointer call."""
+    with pytest.raises(ShapeError):
+        _lapack.dgeqrt(np.ones((8, 4)), 32)  # C order
+    with pytest.raises(ShapeError):
+        _lapack.dgeqrt(np.ones((8, 4), dtype=np.float32, order="F"), 32)
+    with pytest.raises(ShapeError):
+        _lapack.dgeqrt(np.ones(8), 32)
+    frozen = np.ones((8, 4), order="F")
+    frozen.flags.writeable = False
+    with pytest.raises(ShapeError):
+        _lapack.dgeqrt(frozen, 32)
+
+
+def _routed_panels():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((1000, 64))
+    dup = np.hstack([a[:, :60], a[:, :4]])  # the last four columns repeat
+    return {"400x50": rng.standard_normal((400, 50)), "1000x64": a,
+            "duplicated": dup, "zero": np.zeros((300, 60)),
+            "tiny": 1e-150 * a, "huge": 1e150 * a}
+
+
+@pytest.mark.parametrize("name", list(_routed_panels()))
+def test_blocked_leaf_qr(name):
+    """Tall panels take the dgeqrt route and keep local_qr's contract."""
+    a = _routed_panels()[name]
+    m, b = a.shape
+    assert tsqr._wy_route(m, b)
+    fac, r = local_qr(a)
+    assert np.array_equal(fac.qr, lapack.dgeqrt(tsqr._WY_NB, a)[0])
+    scale = max(np.abs(a).max(), np.finfo(float).tiny)
+    assert (np.diagonal(r) >= 0).all()
+    _, r_ref = reference_qr(a)
+    assert np.allclose(r, r_ref, rtol=1e-12, atol=1e-13 * scale)
+    assert np.allclose(fac.apply(r), a, rtol=1e-12, atol=1e-13 * scale)
+    q = fac.explicit_q()
+    assert np.allclose(q.T @ q, np.eye(b), atol=1e-12)
+    if name == "zero":
+        assert not fac.tau.any() and not r.any()
+
+
+@pytest.mark.parametrize("ncols", [1, 7, 64, 100])
+def test_apply_closed_form_workspace_is_bitwise(ncols):
+    """dormqr with the closed-form workspace equals it with a queried one."""
+    rng = np.random.default_rng(22)
+    fac, _ = local_qr(rng.standard_normal((1000, 100)))
+    c = rng.standard_normal((100, ncols))
+    x = np.zeros((1000, ncols), order="F")
+    x[:100] = fac.signs[:, None] * c
+    _, work, _ = lapack.dormqr("L", "N", fac.qr, fac.tau, x, -1)
+    want, _, info = lapack.dormqr("L", "N", fac.qr, fac.tau, x, int(work[0]))
+    assert info == 0
+    assert np.array_equal(fac.apply(c), want)
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 3, 4])
+def test_tsqr_on_blocked_leaves(nranks):
+    """Every leaf of a 1600 x 50 panel is blocked; R is right and replicated."""
+    a = np.random.default_rng(23).standard_normal((1600, 50))
+    assert all(tsqr._wy_route(*blk.shape) for blk in row_blocks(a, nranks))
+    _, r_ref = reference_qr(a)
+    q, rs, _ = tsqr_gathered(a, nranks)
+    assert len(rs) == nranks
+    for r in rs:
+        assert np.array_equal(r, rs[0])
+    assert np.allclose(rs[0], r_ref, rtol=1e-12, atol=1e-12)
+    assert np.allclose(q.T @ q, np.eye(50), atol=1e-12)
 
 
 @pytest.mark.parametrize("nranks", [2, 3, 5, 8])

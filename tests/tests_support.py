@@ -1,7 +1,11 @@
-"""Shared fixtures: tensors with known compressible structure."""
+"""Shared fixtures: tensors with known compressible structure, and the
+environment of child processes."""
+
+import os
 
 import numpy as np
 
+import ttpar
 from ttpar import TTTensor, random_tt
 from ttpar.core import TTCore
 
@@ -35,3 +39,12 @@ def redundant_pair(dims, rank, seed):
             z[rl:, :, rr:] = a
         cores.append(TTCore(z))
     return x, TTTensor(cores)
+
+
+def child_env():
+    """This process's environment, with the imported ttpar's directory first
+    on ``PYTHONPATH``, so a child process imports the same ttpar, installed
+    or not."""
+    src = os.path.dirname(os.path.dirname(ttpar.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
