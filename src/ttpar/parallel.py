@@ -269,10 +269,32 @@ def _truncate_sweep(dt, slabs, facs, sweep: _Orientation, eps, max_rank, meta) -
     return tuple(ranks)
 
 
+#: Sums of squares below this may have lost digits to underflow: tiny / eps.
+_SQ_SAFE_MIN = 2.0**-970
+
+
 def _end_core_norm(comm: Communicator, end: np.ndarray) -> float:
-    """Norm of a chain whose other cores are orthonormal, off its end core."""
-    sq = float(np.dot(end.ravel(), end.ravel()))
-    return sqrt(max(float(comm.allreduce_sum(np.array([sq]))[0]), 0.0))
+    """Norm of a chain whose other cores are orthonormal, off its end core.
+
+    One allreduce of the local sums of squares.  Only when that sum
+    overflowed or lies below `_SQ_SAFE_MIN` (norms outside about
+    2^-485..2^512, zero included) is it redone once, on entries scaled by
+    2^-600 or 2^600; every rank sees the same replicated sum, so all take
+    that branch together.  Raises `NumericError` if the norm itself is not
+    finite.
+    """
+    v = end.ravel()
+    with np.errstate(over="ignore"):
+        total = float(comm.allreduce_sum(np.array([np.dot(v, v)]))[0])
+    shift = 0
+    if not _SQ_SAFE_MIN <= total < np.inf:
+        shift = -600 if total > 1.0 else 600
+        w = np.ldexp(v, shift)
+        total = float(comm.allreduce_sum(np.array([np.dot(w, w)]))[0])
+    norm_x = float(np.ldexp(sqrt(total), -shift))
+    if not np.isfinite(norm_x):
+        raise NumericError(f"the tensor's norm is not finite in float64: {norm_x}")
+    return norm_x
 
 
 def orthonormalize(dt: DistTTTensor, direction: str = "right") -> DistTTTensor:
@@ -320,9 +342,14 @@ def truncated_svd(a, eps: float, max_rank: int | None = None) -> TruncatedSVD:
         u, s, vt = _svd(a, full_matrices=False, lapack_driver="gesdd")
     except np.linalg.LinAlgError as e:  # pragma: no cover - gesdd rarely fails
         raise NumericError(f"SVD did not converge: {e}") from e
-    # tail_sq[k] = sum of squared singular values strictly after the first k
-    tail_sq = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])
-    keep = int(np.argmax(tail_sq <= eps * eps))
+    # tail_sq[k] = sum of squared singular values strictly after the first k,
+    # in units of a power of two near s[0] so that no square over- or
+    # underflows; the scaling is exact, so in range nothing else changes
+    unit = float(np.ldexp(1.0, np.frexp(s[0])[1])) if s.size else 1.0
+    s_unit = s / unit
+    tail_sq = np.concatenate([np.cumsum((s_unit * s_unit)[::-1])[::-1], [0.0]])
+    eps_unit = eps / unit
+    keep = int(np.argmax(tail_sq <= eps_unit * eps_unit))
     keep = max(keep, 1)
     capped = False
     if max_rank is not None:
@@ -334,7 +361,7 @@ def truncated_svd(a, eps: float, max_rank: int | None = None) -> TruncatedSVD:
         u[:, :keep].copy(),
         s[:keep].copy(),
         vt[:keep].T.copy(),
-        float(sqrt(tail_sq[keep])),
+        float(sqrt(tail_sq[keep]) * unit),
         capped,
     )
 

@@ -28,14 +28,15 @@ The triangular factor is sign-fixed to a nonnegative diagonal, which makes R
 unique for full-column-rank inputs and therefore identical no matter how the
 rows are distributed.
 
-Every QR is LAPACK Householder QR in dgeqrf's packed layout, so one apply
-(dormqr) and one explicit Q (dorgqr) serve all of them.  The kernel depends
-on the panel's shape (`_wy_route`): dgeqrf only blocks from 128 columns on,
-so tall leaf panels of at least 48 columns go to the blocked compact-WY
-dgeqrt instead, whose tau is read off the diagonals of its T factor.  scipy's
-wrapper of dgeqrt holds the GIL, which would serialize ranks simulated as
-threads, so it is called through `ttpar._lapack`, which releases it.  Tree
-nodes and short panels stay on dgeqrf.
+Every QR is LAPACK Householder QR in dgeqrf's packed layout.  The kernel
+depends on the panel's shape (`_wy_route`): dgeqrf only blocks from 128
+columns on, so tall leaf panels of at least 48 columns go to the blocked
+compact-WY dgeqrt instead.  Those keep its T factor, and both their apply
+and their explicit Q run dgemqrt on it; dormqr and dorgqr would rebuild T or
+fall back to BLAS-2 code below 128 reflectors.  Tree nodes and short panels
+stay on dgeqrf, dormqr and dorgqr.  scipy's wrappers of dgeqrt and dgemqrt
+hold the GIL, which would serialize ranks simulated as threads, so both are
+called through `ttpar._lapack`, which releases it.
 """
 
 from __future__ import annotations
@@ -67,22 +68,45 @@ def _flops_orgqr(m: int, n: int, k: int) -> float:
     return 4.0 * m * n * k - 2.0 * (m + n) * k * k + (4.0 / 3.0) * k**3
 
 
+def _flops_wy_q(m: int, b: int, nb: int) -> float:
+    """Flops of `LocalQR.explicit_q` on a panel factored by dgeqrt.
+
+    The sum over reflector blocks j = 0, nb, 2nb, ... (width ib = min(nb,
+    b - j)) of ``_flops_ormqr(m - j, b - j, ib)``, in closed form: dgemqrt
+    applies block j to the whole trailing (m - j) x (b - j) block of Q,
+    including the ib identity columns of its own diagonal block, which
+    dorgqr's unblocked dorg2r treats as the sparse vectors they are.  The
+    build therefore does about 2 m b (b + nb) flops against the algorithmic
+    2 m b^2 (`_flops_orgqr`) that `cost.chain_estimate` keeps; it buys gemm
+    rate for every block.  On a model-1 panel (b = 100, nb = 32) that is
+    about 1.3x the model, on a 50-column panel about 1.5x.
+    """
+    q, r = divmod(b, nb)
+    s1, s2 = q * (q - 1) / 2.0, (q - 1) * q * (2 * q - 1) / 6.0
+    full = (4.0 * nb * (q * m * b - nb * (m + b) * s1 + nb * nb * s2)
+            - 2.0 * nb * nb * (q * b - nb * s1))
+    return full + 4.0 * (m - b + r) * r * r - 2.0 * r**3
+
+
 @dataclass
 class LocalQR:
     """Packed Householder QR of one block, zero-padded to at least b rows.
 
     ``qr``/``tau`` are the padded block's reflectors and R in LAPACK dgeqrf's
     layout: dgeqrf's own outputs, or on tall panels (`_wy_route`) dgeqrt's
-    factored block with tau taken from the diagonals of its T factor, which
-    is then dropped.  ``signs`` flips reflector columns so the stored R has
-    a nonnegative diagonal; ``rows`` is the original (unpadded) row count,
-    which may be anything >= 0 -- zero-row blocks contribute R = 0.
+    factored block with tau taken from the diagonals of its T factor.  ``t``
+    is that T (None on dgeqrf blocks); where it is kept, `apply` and
+    `explicit_q` run dgemqrt on it instead of dormqr and dorgqr.  ``signs``
+    flips reflector columns so the stored R has a nonnegative diagonal;
+    ``rows`` is the original (unpadded) row count, which may be anything
+    >= 0 -- zero-row blocks contribute R = 0.
     """
 
     qr: np.ndarray
     tau: np.ndarray
     signs: np.ndarray
     rows: int
+    t: np.ndarray | None = None
 
     @property
     def b(self) -> int:
@@ -98,20 +122,36 @@ class LocalQR:
             raise ShapeError(f"expected a ({self.b}, k) block, got {c.shape}")
         x = np.zeros((self.qr.shape[0], c.shape[1]), order="F")
         x[: self.b] = self.signs[:, None] * c
-        # dormqr's workspace query answers ncols * nb + 65 * 64 for its block
-        # size nb <= 64; the bound at nb = 64 keeps the blocked path without
-        # a query call per apply
-        lwork = max(1, c.shape[1]) * 64 + 65 * 64
-        cq, _, info = lapack.dormqr("L", "N", self.qr, self.tau, x, lwork, overwrite_c=1)
+        if self.t is not None:
+            info = _lapack.dgemqrt(self.qr, self.t, x)
+        else:
+            # dormqr's workspace query answers ncols * nb + 65 * 64 for its
+            # block size nb <= 64; the bound at nb = 64 keeps the blocked path
+            # without a query call per apply
+            lwork = max(1, c.shape[1]) * 64 + 65 * 64
+            x, _, info = lapack.dormqr("L", "N", self.qr, self.tau, x, lwork, overwrite_c=1)
         if info != 0:
-            raise NumericError(f"dormqr failed with info={info}")
-        return cq[: self.rows]
+            raise NumericError(f"applying Q failed with info={info}")
+        return x[: self.rows]
 
     def explicit_q(self) -> np.ndarray:
-        """The thin orthonormal factor itself (`rows` x b), via dorgqr."""
-        q, _, info = lapack.dorgqr(self.qr.copy(order="F"), self.tau)
+        """The thin orthonormal factor itself (`rows` x b).
+
+        dorgqr on dgeqrf blocks.  With T kept, start from ``[I_b; 0]`` and
+        apply the reflector blocks last to first: block j touches rows j:
+        only, where the columns left of j are still unit vectors, so it is
+        applied to ``q[j:, j:]`` alone (`_flops_wy_q`).
+        """
+        if self.t is None:
+            q, _, info = lapack.dorgqr(self.qr.copy(order="F"), self.tau)
+        else:
+            m, b = self.qr.shape
+            nb, info = self.t.shape[0], 0
+            q = np.eye(m, b, order="F")
+            for j in range(nb * ((b - 1) // nb), -1, -nb):
+                info = info or _lapack.dgemqrt(self.qr, self.t, q, j, min(nb, b - j))
         if info != 0:
-            raise NumericError(f"dorgqr failed with info={info}")
+            raise NumericError(f"forming Q failed with info={info}")
         return q[: self.rows] * self.signs[None, :]
 
 
@@ -122,27 +162,37 @@ _WY_NB = 32
 def _wy_route(m: int, b: int) -> bool:
     """Whether an m x b panel is factored by dgeqrt instead of dgeqrf.
 
-    dgeqrf only takes its blocked path from 128 columns on (ilaenv's
-    crossover), so every panel here runs its BLAS-2 code; dgeqrt with
-    nb = 32 is blocked at any width.  It is called through `_lapack`, which
-    releases the GIL, because scipy's wrapper of it does not (two threads:
-    1.0x over one) while dgeqrf's does.  The binding costs about 10 us per
-    call, and dgeqrt loses to dgeqrf on narrow or short panels.  dgeqrt time
-    over dgeqrf time, single-threaded (best of repeated calls, median of
-    three; OpenBLAS 0.3.31 on a 2-core x86-64 VM):
+    dgeqrf and dorgqr only take their blocked paths from 128 columns on
+    (ilaenv's crossover), so every panel here runs their BLAS-2 code;
+    dgeqrt with nb = 32 is blocked at any width, and so is the build of Q
+    from its T (`LocalQR.explicit_q`).  Both are called through `_lapack`,
+    which releases the GIL, because scipy's wrappers of them hold it (while
+    one runs, another Python thread runs at about a tenth of its speed)
+    while dgeqrf's does not.  The binding costs about 10 us per call, and
+    the compact-WY pair loses on narrow or short panels.
+    Factor plus explicit-Q time, what an explicit sweep pays, of dgeqrt and
+    dgemqrt over dgeqrf and dorgqr, single-threaded (best of repeated calls,
+    median of five; OpenBLAS 0.3.31 on a 2-core x86-64 VM; repeated tables
+    differ by up to about 0.15):
 
     ======  =====  =====  =====  =====  ======
     b       m=2b   m=4b   m=8b   m=20b  m=100b
     ======  =====  =====  =====  =====  ======
-    30      3.14   2.28   1.46   0.94   0.72
-    48      1.80   1.02   0.70   0.59   0.51
-    64      1.08   0.72   0.60   0.51   0.40
-    100     0.61   0.47   0.44   0.41   0.26
+    30      2.56   1.90   1.27   0.86   0.91
+    48      1.61   0.97   0.80   0.59   0.65
+    64      0.99   0.71   0.59   0.55   0.55
+    100     0.59   0.61   0.44   0.48   0.33
     ======  =====  =====  =====  =====  ======
 
-    The rule takes the tall panels, where the gain is large, and leaves
-    the tree nodes (2b x b) on dgeqrf: near break-even below 100 columns,
-    and their structured kernel is dtpqrt, not dgeqrt.
+    Model 2's end core, 30 columns: 0.73 at m = 5000, 0.69 at m = 10000.
+    The rule takes the tall panels of at least 48 columns, where the gain is
+    large, and leaves the tree nodes (2b x b) on dgeqrf: near break-even
+    below 100 columns, and their structured kernel is dtpqrt, not dgeqrt.
+    30-column panels gain only from about 20b rows on, by less, and there
+    the build is one 30-column block at twice dorgqr's flops (`_flops_wy_q`):
+    an explicit sweep over such panels would count about 40% more flops
+    than `cost.chain_estimate`, which the acceptance suite holds to 10%.
+    They stay on dgeqrf.
     """
     return b >= 48 and m >= 4 * b
 
@@ -174,12 +224,13 @@ def local_qr(block) -> tuple:
             raise NumericError(f"dgeqrt failed with info={info}")
         qr, tau = af, t[np.arange(b) % t.shape[0], np.arange(b)]
     else:
+        t = None
         qr, tau, _, info = lapack.dgeqrf(af, overwrite_a=1)
         if info != 0:
             raise NumericError(f"dgeqrf failed with info={info}")
     diag = np.diagonal(qr)[:b]
     signs = np.where(diag < 0, -1.0, 1.0)
-    fac = LocalQR(qr, tau, signs, rows=m)
+    fac = LocalQR(qr, tau, signs, rows=m, t=t)
     return fac, fac.r()
 
 
@@ -313,7 +364,8 @@ def _apply_leaf(leaf: LocalQR, block: np.ndarray, comm) -> np.ndarray:
     if _is_upper_triangular(block):
         q = leaf.explicit_q()
         if comm is not None:
-            comm.trace.add_flops(_flops_orgqr(m_pad, b, b))
+            comm.trace.add_flops(_flops_orgqr(m_pad, b, b) if leaf.t is None
+                                 else _flops_wy_q(m_pad, b, leaf.t.shape[0]))
         if block.shape[1] == b and np.array_equal(block, np.eye(b)):
             return q
         out = dtrmm(1.0, block, np.asfortranarray(q), side=1, lower=0, trans_a=0)

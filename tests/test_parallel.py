@@ -17,7 +17,8 @@ from ttpar import (
     serial_tt,
     truncated_svd,
 )
-from ttpar.errors import ContractError, ShapeError
+from ttpar.errors import ContractError, NumericError, ShapeError
+from ttpar.ops import norm, scale
 from ttpar.verify import dense
 
 
@@ -219,6 +220,15 @@ def test_truncated_svd_max_rank_cap():
         truncated_svd(np.eye(2), eps=-1.0)
 
 
+@pytest.mark.parametrize("c", [1e-170, 1e170])
+def test_truncated_svd_tail_is_scale_safe(c):
+    """Squared singular values past the float64 range neither vanish nor
+    become inf: the kept rank and the tail scale with the input."""
+    f = truncated_svd(np.diag([3.0, 2.0, 1.0]) * c, eps=1.5 * c)
+    assert f.s.shape == (2,)
+    assert f.discarded_tail == pytest.approx(c)
+
+
 # ----------------------------------------------------------------- rounding
 
 
@@ -411,3 +421,37 @@ def test_sweeps_neither_mutate_nor_alias_inputs(nranks, op):
             assert not any(np.shares_memory(o, s) for o in out.local for s in dt.local)
 
     run_spmd(nranks, body)
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e170])
+@pytest.mark.parametrize("nranks", [1, 2])
+def test_norm_and_round_at_extreme_scales(nranks, c):
+    """A tensor scaled far outside the range where its squares are
+    representable keeps its ortho norm, and rounds to the ranks and the
+    accuracy of the unscaled tensor instead of to zero or to rank 1."""
+    x = random_tt((6, 7, 5, 6), (1, 4, 5, 3, 1), seed=11)
+    ref = dense(x)
+    xs = scale(x, c)
+
+    def body(comm):
+        dt = distribute(xs, comm)
+        out = {v: round_tt(dt, RoundingOptions(1e-8, v)) for v in ("LRLI", "RLR")}
+        return norm(dt, "ortho"), {v: (o.ranks, o.meta, dense(gather(o))) for v, o in out.items()}
+
+    for nrm, outs in run_spmd(nranks, body).results:
+        assert nrm / c == pytest.approx(np.linalg.norm(ref), rel=1e-12)
+        for ranks, meta, got in outs.values():
+            assert ranks == x.ranks and "zero" not in meta
+            assert meta["norm"] / c == pytest.approx(np.linalg.norm(ref), rel=1e-12)
+            assert rel_err(got / c, ref) <= 1e-8
+
+
+def test_norm_that_overflows_raises():
+    """A finite tensor whose norm exceeds float64 fails loudly, in the ortho
+    norm and in rounding, instead of returning inf."""
+    xs = scale(random_tt((6, 7, 5, 6), (1, 4, 5, 3, 1), seed=11), 1e307)
+    with pytest.raises(NumericError):
+        norm(xs, "ortho")
+    for variant in ("RLR", "LRLI"):
+        with pytest.raises(NumericError):
+            round_tt(serial_tt(xs), RoundingOptions(1e-8, variant))

@@ -112,6 +112,66 @@ def test_dgeqrt_binding_rejects_bad_layout():
         _lapack.dgeqrt(frozen, 32)
 
 
+@pytest.mark.parametrize("shape,ncols", [((400, 50), 3), ((1000, 64), 64), ((200, 48), 1),
+                                         ((7, 3), 2), ((5000, 100), 50)])
+def test_dgemqrt_binding_matches_scipy(shape, ncols):
+    """The GIL-free dgemqrt is bitwise scipy's wrapper, whole and per block."""
+    rng = np.random.default_rng(24)
+    v = np.asfortranarray(rng.standard_normal(shape))
+    t, _ = _lapack.dgeqrt(v, 32)
+    c = np.asfortranarray(rng.standard_normal((shape[0], ncols)))
+    got = c.copy(order="F")
+    want, info_want = lapack.dgemqrt(v, t, c)
+    assert _lapack.dgemqrt(v, t, got) == info_want == 0
+    assert np.array_equal(got, want)
+    # one reflector block on the trailing block c[j:, j:]; the rest untouched
+    nb, n = t.shape
+    c = np.asfortranarray(rng.standard_normal(shape))
+    for j in range(0, n, nb):
+        ib = min(nb, n - j)
+        got = c.copy(order="F")
+        assert _lapack.dgemqrt(v, t, got, j, ib) == 0
+        want, _ = lapack.dgemqrt(v[j:, j : j + ib], t[:ib, j : j + ib], c[j:, j:])
+        assert np.array_equal(got[j:, j:], want)
+        assert np.array_equal(got[:j], c[:j]) and np.array_equal(got[:, :j], c[:, :j])
+
+
+def test_dgemqrt_binding_rejects_bad_input():
+    """Layouts other than F-contiguous float64, a read-only C and blocks that
+    do not fit the factor all raise before the raw pointer call."""
+    v = np.asfortranarray(np.random.default_rng(25).standard_normal((80, 40)))
+    t, _ = _lapack.dgeqrt(v, 32)
+    for c in (np.ones((80, 4)), np.ones((80, 4), dtype=np.float32, order="F"), np.ones(80)):
+        with pytest.raises(ShapeError):
+            _lapack.dgemqrt(v, t, c)
+    frozen = np.ones((80, 4), order="F")
+    frozen.flags.writeable = False
+    with pytest.raises(ShapeError):
+        _lapack.dgemqrt(v, t, frozen)
+    with pytest.raises(ShapeError):
+        _lapack.dgemqrt(np.ascontiguousarray(v), t, np.ones((80, 4), order="F"))
+    c = np.ones((80, 40), order="F")
+    for j, k in ((16, 8), (0, 41), (32, 9), (0, 0)):  # off a T block, past the end, empty
+        with pytest.raises(ShapeError):
+            _lapack.dgemqrt(v, t, c, j, k)
+    with pytest.raises(ShapeError):
+        _lapack.dgemqrt(v, t, np.ones((79, 4), order="F"))
+
+
+@pytest.mark.parametrize("shape,routed", [
+    ((10000, 100), True), ((5000, 100), True), ((5000, 50), True), ((1000, 64), True),
+    ((192, 48), True), ((191, 48), False), ((10000, 47), False),
+    ((200, 100), False), ((100, 50), False),  # tree nodes: two stacked b x b triangles
+    ((10000, 30), False), ((5000, 30), False),  # model 2's end core at P = 1, 2
+    ((420, 30), False), ((150, 30), False),  # model 2's interior panels
+    ((4000, 16), False)])
+def test_wy_route_pins_shapes(shape, routed):
+    """Which panels dgeqrt factors and which keep T, for the benchmark shapes."""
+    assert tsqr._wy_route(*shape) is routed
+    fac, _ = local_qr(np.ones(shape))
+    assert (fac.t is not None) is routed
+
+
 def _routed_panels():
     rng = np.random.default_rng(21)
     a = rng.standard_normal((1000, 64))
@@ -136,17 +196,46 @@ def test_blocked_leaf_qr(name):
     assert np.allclose(fac.apply(r), a, rtol=1e-12, atol=1e-13 * scale)
     q = fac.explicit_q()
     assert np.allclose(q.T @ q, np.eye(b), atol=1e-12)
+    # the Q built blockwise from T is dorgqr's to roundoff
+    q_ref, _, info = lapack.dorgqr(fac.qr, fac.tau)
+    assert info == 0 and np.abs(q - q_ref * fac.signs).max() <= 1e-15
     if name == "zero":
         assert not fac.tau.any() and not r.any()
+        assert np.array_equal(q, np.eye(m, b))
+
+
+@pytest.mark.parametrize("m,b,nb", [(10000, 100, 32), (5000, 50, 32), (300, 64, 32),
+                                    (250, 60, 32), (40, 7, 32), (64, 33, 16)])
+def test_wy_q_charge_closed_form(m, b, nb):
+    """`_flops_wy_q` is the sum of its per-block dgemqrt charges."""
+    blocks = sum(tsqr._flops_ormqr(m - j, b - j, min(nb, b - j)) for j in range(0, b, nb))
+    assert tsqr._flops_wy_q(m, b, nb) == pytest.approx(blocks, rel=1e-14)
+
+
+def test_routed_explicit_q_charge():
+    """The explicit Q of a routed leaf is charged what dgemqrt does; a dense
+    block is still charged dormqr's count."""
+    m, b = 2000, 100
+    a = np.random.default_rng(26).standard_normal((m, b))
+    comm = SerialComm()
+    fac, _ = tsqr_factor(a, comm)
+    assert fac.leaf.t is not None
+    comm.trace.reset()
+    tsqr_apply_q(fac, np.eye(b), comm)
+    assert comm.trace.total("flops") == tsqr._flops_wy_q(m, b, tsqr._WY_NB)
+    comm.trace.reset()
+    tsqr_apply_q(fac, np.ones((b, 3)), comm)
+    assert comm.trace.total("flops") == tsqr._flops_ormqr(m, 3, b)
 
 
 @pytest.mark.parametrize("ncols", [1, 7, 64, 100])
 def test_apply_closed_form_workspace_is_bitwise(ncols):
     """dormqr with the closed-form workspace equals it with a queried one."""
     rng = np.random.default_rng(22)
-    fac, _ = local_qr(rng.standard_normal((1000, 100)))
+    fac, _ = local_qr(rng.standard_normal((300, 100)))
+    assert fac.t is None  # a dgeqrf panel, which dormqr applies
     c = rng.standard_normal((100, ncols))
-    x = np.zeros((1000, ncols), order="F")
+    x = np.zeros((300, ncols), order="F")
     x[:100] = fac.signs[:, None] * c
     _, work, _ = lapack.dormqr("L", "N", fac.qr, fac.tau, x, -1)
     want, _, info = lapack.dormqr("L", "N", fac.qr, fac.tau, x, int(work[0]))
