@@ -3,16 +3,16 @@
 Kernels talk to a tiny `Communicator` surface: ``sendrecv`` (two-sided
 rendezvous exchange), ``allreduce_sum``, and ``broadcast``.  Payloads are raw
 float64 arrays; there are no tags or envelopes, so matching is purely by
-program order per peer pair -- which is exactly what makes the simulated
-backend able to detect mismatched calls instead of silently reordering them.
+program order, per peer pair for exchanges and per group for collectives --
+which is exactly what makes the simulated backend able to detect mismatched
+calls instead of silently reordering them.
 
 Backends:
 
-* `SerialComm` -- size 1, no-op collectives.
 * `SimComm` -- P rank bodies run as threads in one process (see `run_spmd`).
-  Results are bitwise deterministic: reductions are evaluated once, in rank
-  order, by whichever thread triggers the collective.  Unmatched traffic
-  fails fast with a diagnostic instead of hanging.
+  Results are bitwise deterministic: each rank adds the payloads in rank
+  order.  Unmatched traffic fails fast with a diagnostic instead of hanging.
+* `SerialComm` -- the one-rank group: collectives copy, exchanges are errors.
 * `MPICommunicator` -- thin optional adapter over mpi4py for real runs.
 
 Every communicator carries a `Trace` that accumulates flops, words, messages,
@@ -79,10 +79,6 @@ class Trace:
         self.seconds[self._stack[-1]] += now - self._mark
         self._mark = now
 
-    @property
-    def current_phase(self) -> str:
-        return self._stack[-1]
-
     @contextmanager
     def phase(self, name: str):
         self._tick()
@@ -125,10 +121,7 @@ class Trace:
 
 
 def _as_payload(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.issubdtype(arr.dtype, np.floating):  # pragma: no cover - asarray coerces
-        raise ContractError("payloads must be float64 arrays")
-    return arr
+    return np.asarray(x, dtype=np.float64)
 
 
 class Communicator:
@@ -160,29 +153,15 @@ class Communicator:
         self.trace.add_message(size * rounds, rounds)
 
 
-class SerialComm(Communicator):
-    """The one-rank communicator; collectives copy, exchanges are errors."""
-
-    size = 1
-    rank = 0
-
-    def __init__(self):
-        self.trace = Trace()
-
-    def sendrecv(self, peer, payload):
-        self._check_peer(peer)  # always raises: no valid peer exists
-
-    def allreduce_sum(self, payload):
-        return _as_payload(payload).copy()
-
-    def broadcast(self, payload, root: int = 0):
-        if root != 0:
-            raise ContractError(f"root {root} out of range for 1 rank")
-        return _as_payload(payload).copy()
-
-
 class _SimGroup:
-    """Shared state for one simulated SPMD group."""
+    """One simulated SPMD group: P ranks that meet at one mailbox.
+
+    Every blocking call of a `SimComm` is a `rendezvous`: the rank posts its
+    outgoing boxes, keyed ``(src, dst, channel, #)``, and waits under the
+    group's single condition until its incoming boxes are there.  Exchanges
+    and collectives number their calls on separate channels, per peer pair
+    and per rank respectively, so matching is by program order on each.
+    """
 
     def __init__(self, nranks: int, timeout: float):
         if nranks < 1:
@@ -191,86 +170,35 @@ class _SimGroup:
         self.timeout = timeout
         self._cv = threading.Condition()
         self._boxes = {}
-        self._aborted = False
         self._abort_origin = None
-        # Collective machinery: one reusable barrier; the action thread
-        # validates matching calls and computes the result exactly once.
-        self._slots = [None] * nranks
-        self._tags = [None] * nranks
-        self._result = None
-        self._coll_error = None
-        self._barrier = threading.Barrier(nranks, action=self._combine)
-        self.comms = [SimComm(self, p) for p in range(nranks)]
 
     def abort(self, origin: int) -> None:
         with self._cv:
-            self._aborted = True
             if self._abort_origin is None:
                 self._abort_origin = origin
             self._cv.notify_all()
-        self._barrier.abort()
 
-    def _combine(self) -> None:
-        tags = self._tags
-        if any(t != tags[0] for t in tags[1:]):
-            self._coll_error = ContractError(
-                f"mismatched collectives: per-rank (call#, kind, length, root) = {tags}"
-            )
-            raise self._coll_error
-        kind, root = tags[0][1], tags[0][3]
-        if kind == "allreduce_sum":
-            acc = self._slots[0].astype(np.float64, copy=True)
-            for s in self._slots[1:]:
-                acc = acc + s  # fixed rank-ascending order: bitwise reproducible
-            self._result = acc
-        else:
-            self._result = self._slots[root].copy()
-
-    def collective(self, rank: int, kind: str, payload: np.ndarray, root: int) -> np.ndarray:
-        comm = self.comms[rank]
-        self._slots[rank] = payload
-        self._tags[rank] = (comm._coll_seq, kind, payload.size, root)
-        comm._coll_seq += 1
-        try:
-            self._barrier.wait(self.timeout)
-        except threading.BrokenBarrierError:
-            err = self._coll_error
-            if err is not None:
-                raise ContractError(str(err)) from None
-            if self._aborted:
-                raise ContractError(
-                    f"group aborted by rank {self._abort_origin} during a collective"
-                ) from None
-            raise DeadlockError(
-                f"rank {rank}: collective {kind!r} (call #{comm._coll_seq - 1}) timed out "
-                f"after {self.timeout}s; some rank never joined"
-            ) from None
-        return self._result.copy()
-
-    def exchange(self, rank: int, peer: int, payload: np.ndarray) -> np.ndarray:
-        comm = self.comms[rank]
-        seq = comm._pair_seq[peer]
-        comm._pair_seq[peer] += 1
-        key_out = (rank, peer, seq)
-        key_in = (peer, rank, seq)
-        deadline = time.monotonic() + self.timeout
+    def rendezvous(self, out: dict, keys: list, what: str) -> list:
+        """Post the boxes of ``out``, then take the payloads under ``keys``
+        (all ``(src, me, channel, #)`` of one call ``what``)."""
+        boxes = self._boxes
         with self._cv:
-            self._boxes[key_out] = payload.copy()
+            boxes.update(out)
             self._cv.notify_all()
-            while key_in not in self._boxes:
-                if self._aborted:
-                    raise ContractError(
-                        f"group aborted by rank {self._abort_origin} during sendrecv"
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._cv.wait(remaining):
-                    pending = sorted(self._boxes)
-                    raise DeadlockError(
-                        f"rank {rank}: sendrecv with peer {peer} (exchange #{seq}) "
-                        f"timed out after {self.timeout}s; undelivered "
-                        f"(src, dst, #) boxes: {pending}"
-                    )
-            return self._boxes.pop(key_in)
+            ready = lambda: self._abort_origin is not None or all(map(boxes.__contains__, keys))
+            if not self._cv.wait_for(ready, self.timeout):
+                missing = ", ".join(f"peer {k[0]}" for k in keys if k not in boxes)
+                raise DeadlockError(
+                    f"rank {keys[0][1]}: {what} call #{keys[0][3]} timed out after "
+                    f"{self.timeout}s waiting on {missing}; undelivered "
+                    f"(src, dst, channel, #) boxes: {sorted(boxes)}"
+                )
+            if self._abort_origin is not None:
+                raise ContractError(
+                    f"group aborted by rank {self._abort_origin} during {what} "
+                    f"call #{keys[0][3]}"
+                )
+            return [boxes.pop(k) for k in keys]
 
 
 class SimComm(Communicator):
@@ -287,24 +215,59 @@ class SimComm(Communicator):
     def sendrecv(self, peer, payload):
         peer = self._check_peer(peer)
         arr = _as_payload(payload)
-        got = self._group.exchange(self.rank, peer, arr)
+        me, n = self.rank, self._pair_seq[peer]
+        self._pair_seq[peer] = n + 1
+        (got,) = self._group.rendezvous(
+            {(me, peer, "sendrecv", n): arr.copy()}, [(peer, me, "sendrecv", n)], "sendrecv"
+        )
         self.trace.add_message(arr.size)
         return got
 
     def allreduce_sum(self, payload):
         arr = _as_payload(payload)
-        out = self._group.collective(self.rank, "allreduce_sum", arr, 0)
+        got = self._collective("allreduce_sum", arr, 0)
+        acc = got[0].copy()
+        for g in got[1:]:
+            acc += g  # fixed rank-ascending order: bitwise reproducible
         self._charge_collective(arr.size)
-        return out
+        return acc
 
     def broadcast(self, payload, root: int = 0):
         root = int(root)
         if not 0 <= root < self.size:
             raise ContractError(f"root {root} out of range for {self.size} ranks")
-        arr = _as_payload(payload)
-        out = self._group.collective(self.rank, "broadcast", arr, root)
+        out = self._collective("broadcast", _as_payload(payload), root)[root].copy()
         self._charge_collective(out.size)
         return out
+
+    def _collective(self, kind: str, arr: np.ndarray, root: int) -> list:
+        """Every rank's payload, in rank order, once all tags agree.
+
+        Each rank posts one copy, since it may return before its peers have
+        read it, with its ``(call#, kind, length, root)`` tag to every rank.
+        """
+        me, n = self.rank, self._coll_seq
+        self._coll_seq = n + 1
+        tag = (n, kind, arr.size, root)
+        box = (tag, arr.copy())
+        got = self._group.rendezvous(
+            {(me, p, "collective", n): box for p in range(self.size)},
+            [(p, me, "collective", n) for p in range(self.size)],
+            kind,
+        )
+        if any(t != tag for t, _ in got):
+            tags = [t for t, _ in got]
+            raise ContractError(
+                f"mismatched collectives: per-rank (call#, kind, length, root) = {tags}"
+            )
+        return [a for _, a in got]
+
+
+class SerialComm(SimComm):
+    """The one-rank communicator: the only rank of its own simulated group."""
+
+    def __init__(self):
+        super().__init__(_SimGroup(1, 0.0), 0)
 
 
 @dataclass
@@ -323,17 +286,18 @@ def run_spmd(nranks: int, body, *, timeout: float = 60.0) -> SpmdRun:
     suppressed in its favor).
     """
     group = _SimGroup(nranks, timeout)
+    comms = [SimComm(group, p) for p in range(nranks)]
     results = [None] * nranks
     errors = [None] * nranks
 
     def runner(p):
         try:
-            results[p] = body(group.comms[p])
+            results[p] = body(comms[p])
         except BaseException as e:  # noqa: BLE001 - must ferry everything across threads
             errors[p] = e
             group.abort(p)
         finally:
-            group.comms[p].trace.freeze()
+            comms[p].trace.freeze()
 
     threads = [threading.Thread(target=runner, args=(p,), daemon=True) for p in range(nranks)]
     for t in threads:
@@ -348,7 +312,7 @@ def run_spmd(nranks: int, body, *, timeout: float = 60.0) -> SpmdRun:
             root_cause = e
     if root_cause is not None:
         raise root_cause
-    return SpmdRun(results, [c.trace for c in group.comms])
+    return SpmdRun(results, [c.trace for c in comms])
 
 
 def _is_secondary(e: BaseException) -> bool:

@@ -18,9 +18,8 @@ come from the orientation objects `ttpar.parallel`'s sweeps run on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log2
 
-from .comm import CostModelParams
+from .comm import CostModelParams, _log2_ceil
 from .errors import ContractError
 from .parallel import _BACKWARD, _SVD_FLOPS_PER_B3, ROUNDING_VARIANTS, _sweeps
 
@@ -88,10 +87,6 @@ def _report(kind, phases) -> CostReport:
     )
 
 
-def _lg(P: int) -> int:
-    return ceil(log2(P)) if P > 1 else 0
-
-
 def estimate(op_kind, N, I, R, P=1, L=None, m=None, b=None) -> CostReport:
     """Leading-term cost of one operation at uniform mode size and rank.
 
@@ -105,7 +100,7 @@ def estimate(op_kind, N, I, R, P=1, L=None, m=None, b=None) -> CostReport:
         raise ContractError("N, I, R, and P must all be positive")
     if L is not None and not 1 <= L <= R:
         raise ContractError(f"L must satisfy 1 <= L <= R, got L={L}, R={R}")
-    lg = _lg(P)
+    lg = _log2_ceil(P)
 
     if kind == "summation":
         return _report(kind, [PhaseCost("Other")])
@@ -181,7 +176,7 @@ def chain_estimate(op_kind, dims, ranks, P=1, out_ranks=None,
         raise ContractError("P must be positive")
     dims, ranks, out = _chain_check(dims, ranks, out_ranks)
     N = len(dims)
-    lg = _lg(P)
+    lg = _log2_ceil(P)
     f = {"TSQR": 0.0, "AppQ": 0.0, "Other": 0.0}
     words = messages = 0.0
 

@@ -35,9 +35,6 @@ from .tsqr import tsqr_apply_q, tsqr_factor
 
 ROUNDING_VARIANTS = ("LRLI", "LRL", "RLRI", "RLR")
 
-#: Tensors with Frobenius norm below this are rounded to the canonical zero.
-ZERO_NORM_FLOOR = 1e-300
-
 _SVD_FLOPS_PER_B3 = 21.0  # rough dgesdd count; lower order vs the sweeps
 
 
@@ -254,7 +251,6 @@ def _truncate_sweep(dt, slabs, facs, sweep: _Orientation, eps, max_rank, meta) -
             tr.add_flops(_SVD_FLOPS_PER_B3 * b**3)
             keep = basis.shape[1]
             meta["error_bound_violated"] |= tsvd.capped
-            _assert_consistent_rank(comm, keep)
         with tr.phase("AppQ"):
             q = tsqr_apply_q(fac, basis, comm)
         slabs[n] = sweep.slab(q, n, dt.local[n].shape[1], ranks)
@@ -266,7 +262,21 @@ def _truncate_sweep(dt, slabs, facs, sweep: _Orientation, eps, max_rank, meta) -
             with tr.phase("Other"):
                 slabs[nxt] = sweep.fold(carry, slabs[nxt], tr)
         ranks[sweep.bond(n)] = keep
+    with tr.phase("Other"):
+        _check_ranks_agree(comm, ranks)
     return tuple(ranks)
+
+
+def _check_ranks_agree(comm: Communicator, ranks: list) -> None:
+    """One allreduce of the kept bond ranks.  The SVDs run redundantly on a
+    replicated R; ranks that disagree would silently corrupt the chain."""
+    if comm.size > 1:
+        kept = np.array(ranks[1:-1], dtype=np.float64)
+        total = comm.allreduce_sum(kept)
+        if not np.array_equal(total, comm.size * kept):
+            raise ContractError(
+                f"ranks disagree on truncation ranks: mine={ranks[1:-1]}, sum={total}"
+            )
 
 
 #: Sums of squares below this may have lost digits to underflow: tiny / eps.
@@ -404,7 +414,7 @@ def round_tt(dt: DistTTTensor, opts: RoundingOptions) -> DistTTTensor:
     Per-bond truncation threshold is ``eps0 * ||x|| / sqrt(N - 1)``, giving
     ``||round(x) - x|| <= eps0 ||x||`` overall.  Output cores are orthonormal
     on the side the truncation sweep started from.  Tensors that are exactly
-    (or denormally) zero collapse to the canonical rank-1 zero.
+    zero collapse to the canonical rank-1 zero.
     """
     comm, tr = dt.comm, dt.comm.trace
     N = dt.ndim
@@ -426,7 +436,7 @@ def round_tt(dt: DistTTTensor, opts: RoundingOptions) -> DistTTTensor:
         # the QR sweep leaves the norm in the core the truncation starts from
         norm_x = _end_core_norm(comm, slabs[trunc.steps(N)[0]])
         meta["norm"] = norm_x
-        if norm_x < ZERO_NORM_FLOOR:
+        if norm_x == 0.0:
             meta["zero"] = True
             return _canonical_zero(dt, meta)
         eps = opts.eps0 * norm_x / sqrt(N - 1)
@@ -435,17 +445,6 @@ def round_tt(dt: DistTTTensor, opts: RoundingOptions) -> DistTTTensor:
     ranks = _truncate_sweep(dt, slabs, facs, trunc, eps, opts.max_rank, meta)
     meta["output_ranks"] = ranks
     return DistTTTensor(comm, dt.dims, ranks, slabs, meta)
-
-
-def _assert_consistent_rank(comm: Communicator, keep: int) -> None:
-    # The SVD runs redundantly on a replicated R; every rank must agree on
-    # the kept rank or the chain silently corrupts.  Debug-mode only.
-    if __debug__ and comm.size > 1:
-        total = comm.allreduce_sum(np.array([float(keep)]))
-        if total[0] != keep * comm.size:
-            raise ContractError(
-                f"ranks disagree on truncation rank: mine={keep}, sum={total[0]}"
-            )
 
 
 def serial_tt(t: TTTensor) -> DistTTTensor:

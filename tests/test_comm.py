@@ -118,6 +118,73 @@ def test_mismatched_lengths_fail_fast():
         run_spmd(2, body, timeout=2.0)
 
 
+def test_unmatched_collective_deadlocks_with_diagnostic():
+    """A collective no peer joins times out naming the call and its number."""
+
+    def body(comm):
+        comm.allreduce_sum(np.zeros(1))
+        if comm.rank == 0:
+            comm.allreduce_sum(np.zeros(2))
+
+    with pytest.raises(DeadlockError, match=r"allreduce_sum call #1 .*waiting on peer 1"):
+        run_spmd(2, body, timeout=0.3)
+
+
+def test_mismatched_broadcast_roots_fail_fast():
+    """Same broadcast, different roots -> contract error."""
+
+    def body(comm):
+        comm.broadcast(np.zeros(2), root=0 if comm.rank < 2 else 1)
+
+    with pytest.raises(ContractError, match="mismatched"):
+        run_spmd(3, body, timeout=2.0)
+
+
+def test_collective_results_survive_payload_overwrites():
+    """Each rank overwrites its payload with NaN as soon as a call returns,
+    possibly before its peers have read it; every result stays exact."""
+    P = 3
+
+    def body(comm):
+        bad = 0
+        for i in range(500):
+            a = np.full(3, float(i + comm.rank))
+            total = comm.allreduce_sum(a)
+            a[:] = np.nan
+            b = np.full(3, float(P * i + comm.rank))
+            got = comm.broadcast(b, root=i % P)
+            b[:] = np.nan
+            bad += not np.array_equal(total, np.full(3, float(P * i + P * (P - 1) // 2)))
+            bad += not np.array_equal(got, np.full(3, float(P * i + i % P)))
+        return bad
+
+    assert run_spmd(P, body).results == [0] * P
+
+
+def test_sendrecv_and_collectives_interleave_in_program_order():
+    """Exchanges and collectives mixed in one program keep their order, also
+    when one pair exchanges more often than another between collectives."""
+
+    def body(comm):
+        got = []
+        for i in range(30):
+            peer = comm.rank ^ (1 << (i % 2))
+            repeats = 1 + i % 3 if comm.rank < 2 and peer < 2 else 1
+            for j in range(repeats):
+                got.append(comm.sendrecv(peer, np.array([100.0 * i + 10 * j + comm.rank]))[0])
+            got.append(comm.allreduce_sum(np.array([float(i + comm.rank)]))[0])
+        return got
+
+    for rank, got in enumerate(run_spmd(4, body).results):
+        want = []
+        for i in range(30):
+            peer = rank ^ (1 << (i % 2))
+            repeats = 1 + i % 3 if rank < 2 and peer < 2 else 1
+            want += [100.0 * i + 10 * j + peer for j in range(repeats)]
+            want.append(4.0 * i + 6)
+        assert got == want
+
+
 def test_rank_exception_propagates_as_root_cause():
     """A crash on one rank surfaces to the caller, not the peers' timeouts."""
 

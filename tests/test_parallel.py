@@ -1,5 +1,10 @@
 """Distribution, orthonormalization sweeps, truncated SVD, and TT rounding."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -232,7 +237,7 @@ def test_truncated_svd_tail_is_scale_safe(c):
 # ----------------------------------------------------------------- rounding
 
 
-from tests_support import redundant_pair
+from tests_support import child_env, redundant_pair, round_with_short_rank1
 
 
 @pytest.mark.parametrize("variant", ["RLR", "RLRI", "LRL", "LRLI"])
@@ -258,6 +263,41 @@ def test_round_recovers_ranks_of_redundant_sum(variant):
         out = round_tt(serial_tt(y), RoundingOptions(1e-12, variant))
         assert all(r <= rx for r, rx in zip(out.ranks, x.ranks))
         assert rel_err(dense(gather(out)), dense(x)) < 1e-10
+
+
+@pytest.mark.parametrize("variant", ["LRLI", "RLR"])
+@pytest.mark.parametrize("nranks", [2, 3])
+def test_round_rejects_ranks_that_disagree(nranks, variant):
+    """One rank keeping a triple fewer than its peers is a contract error,
+    not a silently inconsistent chain."""
+    with pytest.raises(ContractError, match="ranks disagree"):
+        round_with_short_rank1(nranks, variant)
+
+
+def test_round_rank_check_runs_under_optimize():
+    """``python -O`` strips asserts and ``__debug__`` blocks; the rank check
+    must survive it."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from ttpar.errors import ContractError
+        from tests_support import round_with_short_rank1
+        print("optimize", sys.flags.optimize)
+        for p in (2, 3):
+            try:
+                print("returned", round_with_short_rank1(p))
+            except ContractError as e:
+                print("raised", e)
+        """
+    )
+    env = child_env()
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(__file__), env["PYTHONPATH"]])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert "optimize 1" in out.stdout
+    assert out.stdout.count("raised ranks disagree") == 2, out.stdout
 
 
 def test_round_eps_zero_hits_unfolding_rank_bounds():
@@ -423,7 +463,7 @@ def test_sweeps_neither_mutate_nor_alias_inputs(nranks, op):
     run_spmd(nranks, body)
 
 
-@pytest.mark.parametrize("c", [1e-170, 1e170])
+@pytest.mark.parametrize("c", [1e-303, 1e-170, 1e170])
 @pytest.mark.parametrize("nranks", [1, 2])
 def test_norm_and_round_at_extreme_scales(nranks, c):
     """A tensor scaled far outside the range where its squares are

@@ -1,12 +1,13 @@
-"""Shared fixtures: tensors with known compressible structure, and the
-environment of child processes."""
+"""Shared fixtures: tensors with known compressible structure, a rounding
+whose ranks disagree, and the environment of child processes."""
 
 import os
+import threading
 
 import numpy as np
 
 import ttpar
-from ttpar import TTTensor, random_tt
+from ttpar import RoundingOptions, TTTensor, distribute, parallel, random_tt, round_tt, run_spmd
 from ttpar.core import TTCore
 
 
@@ -39,6 +40,32 @@ def redundant_pair(dims, rank, seed):
             z[rl:, :, rr:] = a
         cores.append(TTCore(z))
     return x, TTTensor(cores)
+
+
+def round_with_short_rank1(nranks, variant="LRLI"):
+    """Round one tensor on ``nranks`` ranks while rank 1's truncated SVDs
+    keep one singular triple fewer than the others'; returns each rank's
+    output ranks."""
+    svd, local = parallel.truncated_svd, threading.local()
+
+    def short(a, eps, max_rank=None):
+        t = svd(a, eps, max_rank)
+        if getattr(local, "rank", None) != 1 or t.s.size < 2:
+            return t
+        k = t.s.size - 1
+        return parallel.TruncatedSVD(t.u[:, :k], t.s[:k], t.v[:, :k], t.discarded_tail, t.capped)
+
+    x = random_tt((6, 5, 4, 7), (1, 3, 4, 3, 1), 3)
+
+    def body(comm):
+        local.rank = comm.rank
+        return round_tt(distribute(x, comm), RoundingOptions(1e-8, variant)).ranks
+
+    parallel.truncated_svd = short
+    try:
+        return run_spmd(nranks, body, timeout=30.0).results
+    finally:
+        parallel.truncated_svd = svd
 
 
 def child_env():
