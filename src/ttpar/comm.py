@@ -225,7 +225,7 @@ class SimComm(Communicator):
 
     def allreduce_sum(self, payload):
         arr = _as_payload(payload)
-        got = self._collective("allreduce_sum", arr, 0)
+        got = self._collective("allreduce_sum", arr, 0, arr.size)
         acc = got[0].copy()
         for g in got[1:]:
             acc += g  # fixed rank-ascending order: bitwise reproducible
@@ -236,19 +236,21 @@ class SimComm(Communicator):
         root = int(root)
         if not 0 <= root < self.size:
             raise ContractError(f"root {root} out of range for {self.size} ranks")
-        out = self._collective("broadcast", _as_payload(payload), root)[root].copy()
+        # non-root payloads are ignored, so their lengths need not match
+        out = self._collective("broadcast", _as_payload(payload), root, None)[root].copy()
         self._charge_collective(out.size)
         return out
 
-    def _collective(self, kind: str, arr: np.ndarray, root: int) -> list:
+    def _collective(self, kind: str, arr: np.ndarray, root: int, length) -> list:
         """Every rank's payload, in rank order, once all tags agree.
 
         Each rank posts one copy, since it may return before its peers have
-        read it, with its ``(call#, kind, length, root)`` tag to every rank.
+        read it, with its ``(call#, kind, length, root)`` tag to every rank;
+        ``length`` is None where payload lengths need not agree.
         """
         me, n = self.rank, self._coll_seq
         self._coll_seq = n + 1
-        tag = (n, kind, arr.size, root)
+        tag = (n, kind, length, root)
         box = (tag, arr.copy())
         got = self._group.rendezvous(
             {(me, p, "collective", n): box for p in range(self.size)},

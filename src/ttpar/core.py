@@ -20,6 +20,16 @@ The module also provides dense oracles (`entry`, `full`), deterministic random
 generation keyed per slice (so distributed generation can reproduce it
 bitwise), mode-2 linear operator application, a structural identity check used
 to validate the layout algebra, and a small binary file format.
+
+Random generation gives slice ``i`` of core ``n`` its own counter-based Philox
+stream (Salmon et al., SC'11), keyed by ``SeedSequence(seed, spawn_key=(n,
+i))`` (`slice_rng`).  Building one `SeedSequence` per slice costs about 25 us,
+which dominates generation on modes of millions of slices, so `fill_random_slab`
+derives the keys of a bounded chunk of slices at once with a vectorized numpy
+replica of SeedSequence's entropy mixing (`_slice_keys`, constants from numpy's
+``random/bit_generator.pyx``) and re-keys one Philox generator per slice.  The
+tensors are bitwise those of `slice_rng`; each slab checks its first key
+against numpy's own `SeedSequence` and raises `CapabilityError` on a mismatch.
 """
 
 from __future__ import annotations
@@ -29,12 +39,27 @@ from math import prod
 
 import numpy as np
 
-from .errors import BoundsError, CapacityError, ShapeError
+from .errors import BoundsError, CapabilityError, CapacityError, ContractError, ShapeError
 
 _MAGIC = b"TTPAR1"
 
 #: `full` refuses to materialize more entries than this unless overridden.
 DEFAULT_FULL_CAPACITY = 10_000_000
+
+# SeedSequence's hashing constants, from numpy/random/bit_generator.pyx.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+#: `fill_random_slab` derives keys and draws for at most this many slices,
+#: and this many draws, at a time (256 KiB of keys, 1 MiB of draws).
+_KEY_CHUNK = 1 << 14
+_CHUNK_DRAWS = 1 << 17
 
 
 class TTCore:
@@ -241,10 +266,102 @@ def _check_chain(dims, ranks):
     return dims, ranks
 
 
+def _check_seed(seed) -> int:
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0:
+        return int(seed)
+    raise ContractError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def slice_rng(seed: int, n: int, i: int) -> np.random.Generator:
-    """The dedicated random stream of slice ``i`` of core ``n`` (0-based)."""
-    ss = np.random.SeedSequence(seed, spawn_key=(n, i))
+    """The dedicated random stream of slice ``i`` of core ``n`` (0-based).
+
+    This is the definition of a slice's stream: a Philox generator keyed by
+    ``SeedSequence(seed, spawn_key=(n, i))``, counter at zero.
+    `fill_random_slab` reproduces it bitwise without building the
+    `SeedSequence`.
+
+    Raises
+    ------
+    ContractError
+        If ``seed`` is not a nonnegative integer.
+    """
+    ss = np.random.SeedSequence(_check_seed(seed), spawn_key=(n, i))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _uint32_words(v: int) -> list:
+    """SeedSequence's coercion of a nonnegative int: 32-bit words, low first
+    (zero is one zero word)."""
+    words = [v & _MASK32]
+    while v > _MASK32:
+        v >>= 32
+        words.append(v & _MASK32)
+    return words
+
+
+def _seed_sequence_keys(entropy: list) -> np.ndarray:
+    """``SeedSequence.generate_state(2, np.uint64)`` for a batch of entropies.
+
+    ``entropy`` is the assembled entropy, at least the pool size long; each
+    word is a Python int (shared by the batch) or a uint32 array of the
+    batch's length, and at least one is an array.  Returns ``(count, 2)``
+    uint64 keys.  Every step masks to 32 bits, which is exact for ints and a
+    no-op on uint32 arrays, whose arithmetic wraps like the C code.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    # generate_state: four uint32 words, one pass over the pool, paired low-first
+    words, hash_const = [], _INIT_B
+    for w in pool:
+        w = w ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        w = w * hash_const & _MASK32
+        words.append((w ^ (w >> 16)).astype(np.uint64))
+    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
+
+
+def _slice_keys(seed: int, n: int, lo: int, hi: int) -> np.ndarray:
+    """Philox keys of slices ``lo..hi-1`` of core ``n``, shape ``(hi - lo, 2)``.
+
+    Row ``k`` is bitwise ``SeedSequence(seed, spawn_key=(n, lo + k))
+    .generate_state(2, np.uint64)`` for a nonnegative integer ``seed``.  The
+    assembled entropy is the seed's words zero-padded to the pool size, then
+    ``n``'s words, then the slice index's: its low word, which varies across
+    the batch, and the words of ``i >> 32``, shared by each run of slices
+    that does not cross a multiple of 2^32.
+    """
+    head = _uint32_words(seed)
+    head += [0] * (_POOL_SIZE - len(head)) + _uint32_words(n)
+    keys = np.empty((hi - lo, 2), dtype=np.uint64)
+    a = lo
+    while a < hi:
+        high = a >> 32
+        b = min(hi, (high + 1) << 32)
+        low = np.arange(a - (high << 32), b - (high << 32), dtype=np.uint32)
+        keys[a - lo : b - lo] = _seed_sequence_keys(
+            head + [low] + (_uint32_words(high) if high else [])
+        )
+        a = b
+    return keys
 
 
 def fill_random_slab(out: np.ndarray, n: int, lo: int, seed: int) -> None:
@@ -253,19 +370,58 @@ def fill_random_slab(out: np.ndarray, n: int, lo: int, seed: int) -> None:
     Draws are laid down in the natural descending order (left rank fastest),
     so any row-block of a core can be generated independently and agrees
     bitwise with sequential generation.
+
+    Each slice gets `slice_rng`'s stream without a `SeedSequence` per slice:
+    `_slice_keys` derives the Philox keys of a chunk of slices at once (a
+    numpy replica of SeedSequence's entropy mixing; its constants are those
+    of numpy's ``random/bit_generator.pyx``), and one Philox generator is
+    reset to each key with a zero counter and an empty buffer, the state a
+    freshly seeded one starts in.  Chunks hold at most ``_CHUNK_DRAWS``
+    draws (and ``_KEY_CHUNK`` slices), so the scratch stays bounded on any
+    mode.  As a self-check, the slab's first key is compared with numpy's
+    own `SeedSequence`.
+
+    Raises
+    ------
+    ContractError
+        If ``seed`` is not a nonnegative integer.
+    BoundsError
+        If ``n`` or ``lo`` is negative.
+    CapabilityError
+        If this numpy's `SeedSequence` no longer matches the replica.
     """
+    seed = _check_seed(seed)
+    if n < 0 or lo < 0:
+        raise BoundsError(f"core {n}, first slice {lo}: indices must be nonnegative")
     rl, d_loc, rr = out.shape
-    for k in range(d_loc):
-        g = slice_rng(seed, n, lo + k)
-        out[:, k, :] = g.standard_normal(rl * rr).reshape((rl, rr), order="F")
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # fresh: zero counter, empty buffer
+    step = max(1, min(_KEY_CHUNK, _CHUNK_DRAWS // max(1, rl * rr)))
+    for c0 in range(0, d_loc, step):
+        keys = _slice_keys(seed, n, lo + c0, lo + min(d_loc, c0 + step))
+        if c0 == 0:
+            want = np.random.SeedSequence(seed, spawn_key=(n, lo)).generate_state(2, np.uint64)
+            if not np.array_equal(keys[0], want):
+                raise CapabilityError(
+                    f"derived Philox key {keys[0]} of slice {lo} of core {n} differs "
+                    f"from numpy's SeedSequence key {want}; numpy's seeding has changed"
+                )
+        draws = np.empty((len(keys), rl * rr))
+        for k, key in enumerate(keys):
+            state["state"]["key"] = key
+            bitgen.state = state
+            gen.standard_normal(out=draws[k])
+        out[:, c0 : c0 + len(keys), :] = draws.reshape((len(keys), rr, rl)).transpose(2, 0, 1)
 
 
 def random_tt(dims, ranks, seed: int) -> TTTensor:
     """A TT tensor with i.i.d. standard normal core entries.
 
     Every slice of every core has its own counter-based stream keyed by
-    ``(seed, core index, slice index)``, making the result independent of how
-    the work is split across processes.
+    ``(seed, core index, slice index)`` (`slice_rng`), making the result
+    independent of how the work is split across processes.  ``seed`` must be
+    a nonnegative integer; anything else raises `ContractError`.
     """
     dims, ranks = _check_chain(dims, ranks)
     cores = []

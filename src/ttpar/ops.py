@@ -191,15 +191,20 @@ def _sym_norm(slabs, comm) -> float:
         ral, d, rar = a.shape
         lfac, perm, rank = _pivoted_cholesky(w)
         hx = a.reshape((ral, d * rar), order="F")
-        hp = np.asfortranarray(hx[perm])
         if d * rar == 0:
             z = np.zeros((rank, 0), order="F")
-        elif rank == ral:
-            z = dtrmm(1.0, lfac, hp, side=0, lower=1, trans_a=1)  # L^T @ (P^T H)
-            tr.add_flops(float(ral) * ral * d * rar)
+        elif rank == ral == 1:  # the first mode: a 1x1 triangle is a scalar
+            z = hx * lfac[0, 0]
+            tr.add_flops(float(d * rar))
         else:
-            z = dgemm(1.0, lfac, hp, trans_a=1)
-            tr.add_flops(2.0 * rank * ral * d * rar)
+            # P^T H in one Fortran-ordered pass (take fills a C-ordered H^T P)
+            hp = np.take(hx.T, perm, axis=1).T
+            if rank == ral:
+                z = dtrmm(1.0, lfac, hp, side=0, lower=1, trans_a=1, overwrite_b=1)  # L^T @ (P^T H)
+                tr.add_flops(float(ral) * ral * d * rar)
+            else:
+                z = dgemm(1.0, lfac, hp, trans_a=1)
+                tr.add_flops(2.0 * rank * ral * d * rar)
         vz = z.reshape((rank * d, rar), order="F")
         wn = dsyrk(1.0, vz, trans=1, lower=1) if rank * d else np.zeros((rar, rar), order="F")
         tr.add_flops(float(rar) * rar * rank * d)

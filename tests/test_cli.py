@@ -223,6 +223,18 @@ def test_contract_errors_exit_1():
     assert run_cli(["run", "--op", "dot", "--model", 1, "--scale", -1]) == 1
 
 
+@pytest.mark.parametrize("cmd", ["gen", "run"])
+def test_bad_seed_exits_1_with_one_line(cmd, tmp_path):
+    out = tmp_path / "x.tt"
+    argv = (["gen", "--out", out] if cmd == "gen" else ["run", "--op", "dot", "--P", 2])
+    proc = cli_subprocess(argv + ["--model", 1, "--scale", 0.002, "--seed", -1])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "ttpar: seed must be a nonnegative integer, got -1"
+    ], proc.stderr
+    assert not out.exists()
+
+
 def test_help_and_version_exit_0(capsys):
     assert run_cli(["--help"]) == 0
     assert run_cli(["--version"]) == 0

@@ -70,6 +70,18 @@ def test_broadcast_delivers_root_payload():
         assert np.array_equal(r, np.full(3, 2.0))
 
 
+def test_broadcast_ignores_non_root_lengths():
+    """The MPI smoke test's broadcast: non-root payloads of any length."""
+
+    def body(comm):
+        return comm.broadcast(np.arange(4.0) if comm.rank == 0 else np.zeros(1), root=0)
+
+    run = run_spmd(2, body)
+    for r in run.results:
+        assert np.array_equal(r, np.arange(4.0))
+    assert [t.total("words") for t in run.traces] == [4.0, 4.0]
+
+
 def test_self_exchange_rejected():
     """sendrecv with yourself is a contract error."""
 

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from ttpar.comm import SerialComm
 from ttpar.core import (
+    _CHUNK_DRAWS,
+    _KEY_CHUNK,
     DenseTensor,
     TTCore,
     TTTensor,
     entry,
+    fill_random_slab,
     full,
     load_tt,
     mode2_multiply,
@@ -16,7 +20,8 @@ from ttpar.core import (
     slice_rng,
     verify_quadprod,
 )
-from ttpar.errors import BoundsError, CapacityError, ShapeError
+from ttpar.errors import BoundsError, CapabilityError, CapacityError, ContractError, ShapeError
+from ttpar.parallel import DistTTTensor
 from ttpar.verify import dense as dense_from_tt
 
 
@@ -126,7 +131,7 @@ def test_random_tt_deterministic():
 
 def test_random_tt_slice_streams_are_independent():
     """Each (core, slice) pair owns a stream: slabs can be rebuilt in isolation."""
-    t = random_tt((6, 4), (1, 3, 1), seed=7)
+    t = random_tt((6, 4, 5), (1, 3, 2, 1), seed=7)
     for n, core in enumerate(t.cores):
         for i in range(core.dim):
             g = slice_rng(7, n, i)
@@ -153,6 +158,83 @@ def test_random_tt_validates_chain():
         random_tt((3, 3), (2, 2, 1), seed=0)
     with pytest.raises(ShapeError):
         random_tt((3, 0), (1, 2, 1), seed=0)
+
+
+def _slice_from_stream(seed, n, i, rl, rr):
+    return slice_rng(seed, n, i).standard_normal(rl * rr).reshape((rl, rr), order="F")
+
+
+@pytest.mark.parametrize("ranks", [(1, 1, 1), (1, 600, 1)])
+def test_random_tt_modes_longer_than_one_chunk(ranks):
+    """Slices on both sides of every chunk boundary keep their own streams.
+
+    Rank 1 x 1 chunks by key count (``_KEY_CHUNK`` slices), 1 x 600 by draw
+    count (``_CHUNK_DRAWS`` draws, 218 slices).
+    """
+    d = _KEY_CHUNK + 5 if ranks[1] == 1 else 500
+    t = random_tt((d, 3), ranks, seed=9)
+    a = t.cores[0].array
+    step = min(_KEY_CHUNK, _CHUNK_DRAWS // ranks[1])
+    for i in {0, step - 1, step, step + 1, d - 1}:
+        assert np.array_equal(a[:, i, :], _slice_from_stream(9, 0, i, 1, ranks[1]))
+    # a slab that starts mid-chunk regenerates the same rows
+    lo = step - 2
+    slab = np.empty((1, d - lo, ranks[1]), order="F")
+    fill_random_slab(slab, 0, lo, 9)
+    assert np.array_equal(slab, a[:, lo:, :])
+
+
+def test_random_generation_builds_no_seed_sequence_per_slice(monkeypatch):
+    """A 1000-slice mode costs one SeedSequence (the slab's self-check)."""
+    built = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("spawn_key"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    t = random_tt((1000,), (1, 1), seed=3)
+    assert built == [(0, 0)]
+    monkeypatch.undo()
+    assert np.array_equal(t.cores[0].array[:, 999, :], _slice_from_stream(3, 0, 999, 1, 1))
+
+
+def test_random_generation_checks_keys_against_numpy(monkeypatch):
+    """If numpy's SeedSequence ever disagrees with the derived keys, say so."""
+    real = np.random.SeedSequence
+    monkeypatch.setattr(
+        np.random, "SeedSequence", lambda seed, spawn_key: real(seed + 1, spawn_key=spawn_key)
+    )
+    with pytest.raises(CapabilityError, match="SeedSequence"):
+        random_tt((4, 3), (1, 2, 1), seed=5)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, 2.5, "7", None, True, [1, 2], np.float64(3.0)])
+def test_random_generation_rejects_bad_seeds(seed):
+    """A seed that is not a nonnegative integer is a contract error, not numpy's."""
+    with pytest.raises(ContractError, match="seed must be a nonnegative integer"):
+        random_tt((4, 3), (1, 2, 1), seed=seed)
+    with pytest.raises(ContractError, match="seed must be a nonnegative integer"):
+        DistTTTensor.random(SerialComm(), (4, 3), (1, 2, 1), seed)
+    with pytest.raises(ContractError, match="seed must be a nonnegative integer"):
+        slice_rng(seed, 0, 0)
+
+
+def test_random_generation_accepts_numpy_integer_seeds():
+    """numpy integers seed exactly like the equal Python int."""
+    for seed in (np.int64(5), np.uint64(2**64 - 1)):
+        a = random_tt((4, 3), (1, 2, 1), seed=seed)
+        b = random_tt((4, 3), (1, 2, 1), seed=int(seed))
+        for ca, cb in zip(a.cores, b.cores):
+            assert np.array_equal(ca.array, cb.array)
+
+
+def test_fill_random_slab_rejects_negative_indices():
+    with pytest.raises(BoundsError):
+        fill_random_slab(np.empty((1, 2, 1)), 0, -1, 0)
+    with pytest.raises(BoundsError):
+        fill_random_slab(np.empty((1, 2, 1)), -1, 0, 0)
 
 
 def test_mode2_multiply_matches_dense():

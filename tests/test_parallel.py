@@ -91,6 +91,19 @@ def test_random_dist_matches_sequential_bitwise():
     for p in (1, 2, 4):
         run_spmd(p, body)
 
+    # a 2-row mode leaves some ranks with empty slabs; a seed past 64 bits
+    dims, ranks, seed = (5, 2, 7), (1, 3, 2, 1), 2**64 + 17
+    t = random_tt(dims, ranks, seed)
+
+    def idle_body(comm):
+        dt = DistTTTensor.random(comm, dims, ranks, seed)
+        ref = distribute(t, comm, allow_idle=True)
+        for a, b in zip(dt.local, ref.local):
+            assert np.array_equal(a, b)
+
+    for p in range(1, 6):
+        run_spmd(p, idle_body)
+
 
 def test_bad_slab_shape_rejected():
     comm = SerialComm()

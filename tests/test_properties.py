@@ -1,4 +1,5 @@
-"""Property-based tests: `local_qr` on both kernel routes, any shape and magnitude."""
+"""Property-based tests: `local_qr` on both kernel routes, any shape and
+magnitude; the vectorized Philox key derivation against numpy's SeedSequence."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from ttpar import tsqr  # noqa: E402
+from ttpar.core import _slice_keys  # noqa: E402
 from ttpar.tsqr import local_qr  # noqa: E402
 
 
@@ -48,3 +50,21 @@ def test_local_qr_properties(panel):
     assert np.abs(q @ r - a).max(initial=0.0) <= 1e-13 * scale
     assert (np.diagonal(r) >= 0).all()
     assert np.abs(fac.apply(np.eye(b)) - q).max(initial=0.0) <= 1e-13
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    st.integers(0, 2**130),
+    st.integers(0, 2**33),
+    st.one_of(st.integers(0, 2**64 - 3), st.sampled_from([2**32 - 2, 2**64 - 3])),
+    st.integers(1, 4),
+)
+@example(0, 0, 0, 4)
+@example(2**32 - 1, 2**32 - 1, 2**32 - 3, 4)
+@example(2**128, 2**33, 2**64 - 3, 4)
+def test_slice_keys_match_seed_sequence(seed, n, lo, count):
+    """Keys of slices lo..lo+count-1 are SeedSequence's, bit for bit, across
+    multi-word seeds, core and slice indices and the zero-padded pool."""
+    want = [np.random.SeedSequence(seed, spawn_key=(n, i)).generate_state(2, np.uint64)
+            for i in range(lo, lo + count)]
+    assert np.array_equal(_slice_keys(seed, n, lo, lo + count), np.array(want))
