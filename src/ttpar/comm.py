@@ -32,6 +32,7 @@ from math import ceil, log2
 
 import numpy as np
 
+from ._kernels import blas_threads_per_rank
 from .errors import CapabilityError, ContractError, DeadlockError
 
 
@@ -283,6 +284,11 @@ class SpmdRun:
 def run_spmd(nranks: int, body, *, timeout: float = 60.0) -> SpmdRun:
     """Run ``body(comm)`` on ``nranks`` simulated ranks (threads).
 
+    While the group runs, every loaded OpenBLAS gets max(1, cores // nranks)
+    threads unless the user has set ``OPENBLAS_NUM_THREADS`` or
+    ``OMP_NUM_THREADS`` (`_kernels.blas_threads_per_rank`); the previous
+    counts are restored afterwards.
+
     An exception on any rank aborts the group; the originating exception is
     re-raised in the caller (peers' secondary abort/timeout errors are
     suppressed in its favor).
@@ -302,10 +308,11 @@ def run_spmd(nranks: int, body, *, timeout: float = 60.0) -> SpmdRun:
             comms[p].trace.freeze()
 
     threads = [threading.Thread(target=runner, args=(p,), daemon=True) for p in range(nranks)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    with blas_threads_per_rank(nranks):
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     root_cause = None
     for e in errors:
         if e is None:

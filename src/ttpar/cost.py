@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .comm import CostModelParams, _log2_ceil
 from .errors import ContractError
-from .parallel import _BACKWARD, _SVD_FLOPS_PER_B3, ROUNDING_VARIANTS, _sweeps
+from ._kernels import SVD_FLOPS_PER_MN2
+from .parallel import _BACKWARD, ROUNDING_VARIANTS, _sweeps
 
 OP_KINDS = (
     "summation",
@@ -216,7 +217,7 @@ def chain_estimate(op_kind, dims, ranks, P=1, out_ranks=None,
             m, b, nxt = dims[n] * out[trunc.outer(n)], ranks[trunc.bond(n)], n + trunc.step
             keep, carry_m = out[trunc.bond(n)], dims[nxt] * ranks[trunc.other.outer(nxt)]
             f["TSQR"] += 2 * m * b * b / P + b**3 * lg
-            f["Other"] += _SVD_FLOPS_PER_B3 * b**3  # replicated, not divided
+            f["Other"] += SVD_FLOPS_PER_MN2 * b**3  # replicated, not divided
             f["AppQ"] += 4 * m * keep * b / P
             if implicit:  # stored factor applied to the narrow carry
                 f["AppQ"] += 4 * carry_m * keep * b / P

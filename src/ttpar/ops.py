@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import sqrt
+from functools import partial
+from math import frexp, sqrt
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dgemm, dsyrk, dtrmm
+from scipy.linalg.blas import dasum
 from scipy.linalg.lapack import dpstrf
 
+from ._kernels import dgemm, dsyrk, dtrmm
 from .comm import SerialComm
 from .core import TTCore, TTTensor, mode2_multiply
 from .errors import CapacityError, ContractError, NumericError, ShapeError
@@ -133,27 +135,115 @@ def hadamard(x, y, max_rank_product: int | None = None):
     return _build(x, out, ranks)
 
 
+#: A Gram recurrence lets its large calls release the GIL only when its local
+#: work reaches this many flops.  Each release hands the GIL to another rank
+#: thread and back, which pays while the ranks' released calls follow each
+#: other and keep both cores busy, as on model 1 (96 of them per rank in an
+#: inner product at P = 2).  A short recurrence has one, at its first mode,
+#: and overlaps little: on model 2 at P = 2 (one 9 Mflop call per rank, about
+#: 20 Mflop in all) releasing it took `inner_product` from 2.5 to 3.3 ms.
+_SUSTAINED_FLOPS = 2.0**26
+
+
+def _gram_step(tr, release, w, a, b) -> np.ndarray:
+    """One mode of <x, y>'s recurrence: this rank's share of the next carry.
+
+    Folds the carry into x's horizontal unfolding, then contracts against
+    y's vertical unfolding (4 I R^3 / P flops for equal ranks).
+    """
+    (ral, d, rar), (rbl, _, rbr) = a.shape, b.shape
+    hx = a.reshape((ral, d * rar), order="F")
+    # the allreduced carry comes back C-ordered; F lets a large fold skip the GIL
+    z = (dgemm(1.0, np.asfortranarray(w), hx, release=release) if d * rar
+         else np.zeros((rbl, 0), order="F"))
+    vz = z.reshape((rbl * d, rar), order="F")
+    vy = b.reshape((rbl * d, rbr), order="F")
+    wn = (dgemm(1.0, vy, vz, trans_a=1, release=release) if rbl * d
+          else np.zeros((rbr, rar), order="F"))
+    tr.add_flops(2.0 * rbl * ral * d * rar + 2.0 * rbr * rbl * d * rar)
+    return wn
+
+
+#: A Gram carry whose size (`_size`) leaves [2^-500, 2^500] is brought back
+#: to [1/4, 1) by an exact power of four, which the recurrence keeps as an
+#: integer exponent; the next mode then has 2^500 of headroom either way.
+#: A carry that overflowed, or whose size lies below 2^-969 where its
+#: products may have lost digits to underflow (zero included), is first
+#: recomputed once from the mode's slabs scaled by 2^-+600.
+_CARRY_LO, _CARRY_HI = 2.0**-500, 2.0**500
+_CARRY_LOST = 2.0**-969
+_CARRY_SHIFT = 600
+
+
+def _size(w: np.ndarray) -> float:
+    """Sum of |entries| of a carry, NaN or inf when any entry is.
+
+    BLAS dasum through scipy keeps the GIL; numpy's loops over a carry this
+    large release it, and at P = 2 each such hand-off to the other rank
+    thread cost more than the check itself.
+    """
+    return float(dasum(w.ravel()))
+
+
+def _next_carry(comm, step, slabs) -> tuple:
+    """Allreduce one mode's ``step(*slabs)``; returns ``(carry, k)``, the
+    mode's true Gram being carry * 2**k.
+
+    The carry is replicated after the allreduce, so every rank takes the
+    same branch.  In-window carries come back untouched (k = 0).  Powers of
+    four keep a Cholesky factor of the carry an exact power-of-two multiple
+    of the unscaled one, so the rescaled recurrences round exactly as the
+    plain ones do wherever those stay representable.
+    """
+    w = comm.allreduce_sum(step(*slabs))
+    top = _size(w)
+    if _CARRY_LO <= top <= _CARRY_HI:
+        return w, 0
+    k = 0
+    if not _CARRY_LOST <= top < np.inf:
+        shift = _CARRY_SHIFT if top < 1.0 else -_CARRY_SHIFT  # NaN scales down
+        w = comm.allreduce_sum(step(*(np.ldexp(s, shift) for s in slabs)))
+        top = _size(w)
+        k = -2 * shift
+    if not 0.0 < top < np.inf:  # a zero mode, or non-finite input
+        return w, k
+    j = (frexp(top)[1] + 1) // 2  # top / 4^j lies in [1/4, 1)
+    return np.ldexp(w, -2 * j), k + 2 * j
+
+
+def _gram_inner(xs, ys, comm) -> tuple:
+    """<x, y> as ``(mantissa, exponent)``, worth mantissa * 2**exponent.
+
+    One allreduce per mode (two for a mode `_next_carry` recomputes).
+    """
+    tr = comm.trace
+    work = sum(2.0 * b.shape[0] * a.shape[1] * a.shape[2] * (a.shape[0] + b.shape[2])
+               for a, b in zip(xs, ys))
+    release = work >= _SUSTAINED_FLOPS
+    w, e = np.ones((1, 1), order="F"), 0
+    for a, b in zip(xs, ys):
+        w, k = _next_carry(comm, partial(_gram_step, tr, release, w), (a, b))
+        e += k
+    return float(w[0, 0]), e
+
+
 def inner_product(x, y) -> float:
     """<x, y> by the two-product recurrence: one allreduce per mode.
 
     Per mode: fold the carry Gram matrix into x's horizontal unfolding, then
     contract against y's vertical unfolding (4 N I R^3 / P flops for equal
-    ranks); the mode-N step degenerates to a dot product.
+    ranks); the mode-N step degenerates to a dot product.  Carries are kept
+    in range by exact powers of two, so only a value that float64 cannot
+    hold fails: an overflow, a nonzero value that underflows to 0, or a
+    non-finite one raises `NumericError`.
     """
     xs, ys, dims, xr, yr, comm = _check_pair(x, y)
-    comm = comm or SerialComm()
-    tr = comm.trace
-    w = np.ones((1, 1), order="F")
-    for a, b in zip(xs, ys):
-        (ral, d, rar), (rbl, _, rbr) = a.shape, b.shape
-        hx = a.reshape((ral, d * rar), order="F")
-        z = dgemm(1.0, w, hx) if d * rar else np.zeros((rbl, 0), order="F")
-        vz = z.reshape((rbl * d, rar), order="F")
-        vy = b.reshape((rbl * d, rbr), order="F")
-        wn = dgemm(1.0, vy, vz, trans_a=1) if rbl * d else np.zeros((rbr, rar), order="F")
-        tr.add_flops(2.0 * rbl * ral * d * rar + 2.0 * rbr * rbl * d * rar)
-        w = comm.allreduce_sum(wn)
-    return float(w[0, 0])
+    m, e = _gram_inner(xs, ys, comm or SerialComm())
+    with np.errstate(over="ignore", under="ignore"):
+        val = float(np.ldexp(m, e))
+    if not np.isfinite(val) or (val == 0.0 and m != 0.0):
+        raise NumericError(f"<x, y> = {m!r} * 2^{e} is not representable in float64")
+    return val
 
 
 class _IndefiniteGram(Exception):
@@ -161,56 +251,91 @@ class _IndefiniteGram(Exception):
 
 
 def _pivoted_cholesky(w: np.ndarray):
-    """Rank-revealing P L L^T P^T of an SPSD matrix; raises on indefiniteness."""
-    n = w.shape[0]
-    tol = _PSTRF_RTOL * max(float(np.max(np.diagonal(w))), 0.0)
-    c, piv, rank, info = dpstrf(w, lower=1, tol=tol)
+    """Rank-revealing P L L^T P^T of the SPSD matrix held in the lower
+    triangle of ``w`` (its upper triangle is ignored); raises on
+    indefiniteness.
+
+    dpstrf reads only the lower triangle and leaves the upper one as it
+    found it, so on a lower-triangular copy of ``w`` its first ``rank``
+    columns are L as they stand.  The check compares the lower triangles of
+    the reconstruction residual and of ``w``, which bounds the full
+    symmetric residual within a factor sqrt(2).
+    """
+    wl = np.tril(w)
+    tol = _PSTRF_RTOL * max(float(np.max(np.diagonal(wl))), 0.0)
+    c, piv, rank, info = dpstrf(wl, lower=1, tol=tol)
     if info < 0:
         raise NumericError(f"dpstrf failed with info={info}")
-    lfac = np.tril(c)[:, :rank]
+    lfac = c[:, :rank]
     perm = np.asarray(piv, dtype=int) - 1
     pl = np.empty_like(lfac)
     pl[perm] = lfac
     # compare at unit scale: squaring entries past ~1e154 overflows the norms
-    s = float(np.max(np.abs(w))) or 1.0
-    resid = np.linalg.norm((pl @ pl.T - w) / s)
-    if resid > _GRAM_RESID_RTOL * np.linalg.norm(w / s):
-        raise _IndefiniteGram(f"Gram carry is not PSD (residual {resid:.3e})")
+    s = float(abs(wl).max()) or 1.0
+    wl /= s
+    resid = dsyrk(1.0 / s, pl, lower=1)
+    resid -= wl
+    if np.linalg.norm(resid) > _GRAM_RESID_RTOL * np.linalg.norm(wl):
+        raise _IndefiniteGram(f"Gram carry is not PSD (residual {np.linalg.norm(resid):.3e})")
     return lfac, perm, int(rank)
 
 
-def _sym_norm(slabs, comm) -> float:
-    """Gram-recurrence norm: one pivoted Cholesky + trmm + syrk per mode.
+def _sym_step(tr, release, lfac, perm, rank, a) -> np.ndarray:
+    """One mode of the Gram-factor recurrence: this rank's share of the next
+    carry's lower triangle, ``(L^T P^T H)``'s vertical unfolding syrk'd."""
+    ral, d, rar = a.shape
+    hx = a.reshape((ral, d * rar), order="F")
+    if d * rar == 0:
+        z = np.zeros((rank, 0), order="F")
+    elif rank == ral == 1:  # the first mode: a 1x1 triangle is a scalar
+        z = hx * lfac[0, 0]
+        tr.add_flops(float(d * rar))
+    else:
+        # P^T H in one Fortran-ordered pass (take fills a C-ordered H^T P)
+        hp = np.take(hx.T, perm, axis=1).T
+        if rank == ral:
+            z = dtrmm(1.0, lfac, hp, side=0, lower=1, trans_a=1, overwrite_b=1,
+                      release=release)  # L^T @ (P^T H)
+            tr.add_flops(float(ral) * ral * d * rar)
+        else:
+            z = dgemm(1.0, lfac, hp, trans_a=1, release=release)
+            tr.add_flops(2.0 * rank * ral * d * rar)
+    vz = z.reshape((rank * d, rar), order="F")
+    wn = (dsyrk(1.0, vz, trans=1, lower=1, release=release) if rank * d
+          else np.zeros((rar, rar), order="F"))
+    tr.add_flops(float(rar) * rar * rank * d)
+    return wn
+
+
+def _sym_norm(slabs, comm) -> tuple:
+    """||x||^2 by the Gram recurrence, as ``(mantissa, exponent)`` like
+    `_gram_inner`: one pivoted Cholesky + trmm + syrk per mode.
 
     Halves the inner-product flops (2 N I R^3 / P) by propagating a
-    triangular factor of the carry instead of the full operand pair.
+    triangular factor of the carry instead of the full operand pair.  The
+    carry lives in its lower triangle, which is all dpstrf reads.
     """
     tr = comm.trace
-    w = np.ones((1, 1), order="F")
+    work = sum(float(a.shape[0]) * a.shape[1] * a.shape[2] * (a.shape[0] + a.shape[2])
+               for a in slabs)
+    release = work >= _SUSTAINED_FLOPS
+    w, e = np.ones((1, 1), order="F"), 0
     for a in slabs:
-        ral, d, rar = a.shape
         lfac, perm, rank = _pivoted_cholesky(w)
-        hx = a.reshape((ral, d * rar), order="F")
-        if d * rar == 0:
-            z = np.zeros((rank, 0), order="F")
-        elif rank == ral == 1:  # the first mode: a 1x1 triangle is a scalar
-            z = hx * lfac[0, 0]
-            tr.add_flops(float(d * rar))
-        else:
-            # P^T H in one Fortran-ordered pass (take fills a C-ordered H^T P)
-            hp = np.take(hx.T, perm, axis=1).T
-            if rank == ral:
-                z = dtrmm(1.0, lfac, hp, side=0, lower=1, trans_a=1, overwrite_b=1)  # L^T @ (P^T H)
-                tr.add_flops(float(ral) * ral * d * rar)
-            else:
-                z = dgemm(1.0, lfac, hp, trans_a=1)
-                tr.add_flops(2.0 * rank * ral * d * rar)
-        vz = z.reshape((rank * d, rar), order="F")
-        wn = dsyrk(1.0, vz, trans=1, lower=1) if rank * d else np.zeros((rar, rar), order="F")
-        tr.add_flops(float(rar) * rar * rank * d)
-        wn = comm.allreduce_sum(wn)
-        w = np.asfortranarray(np.tril(wn) + np.tril(wn, -1).T)
-    return sqrt(max(float(w[0, 0]), 0.0))
+        w, k = _next_carry(comm, partial(_sym_step, tr, release, lfac, perm, rank), (a,))
+        e += k
+    return float(w[0, 0]), e
+
+
+def _sqrt_scaled(m: float, e: int) -> float:
+    """sqrt(m * 2^e) for an even e (the recurrences rescale by powers of
+    four), clamping a roundoff-negative m to 0; raises `NumericError` if the
+    result is not a finite float64."""
+    with np.errstate(over="ignore"):
+        val = float(np.ldexp(sqrt(max(m, 0.0)), e // 2))
+    if not np.isfinite(val):
+        raise NumericError(f"the tensor's norm is not finite in float64: {val}")
+    return val
 
 
 def norm(x, method: str = "innerprod", return_info: bool = False):
@@ -220,23 +345,27 @@ def norm(x, method: str = "innerprod", return_info: bool = False):
     factor of the Gram carry (half the flops, falls back to ``innerprod``
     with a warning if roundoff makes the carry indefinite); ``ortho``
     right-orthonormalizes a copy and reads the norm off the first core.
+    The Gram routes take the square root of a (mantissa, exponent) pair, so
+    norms whose square float64 cannot hold come out right.
     """
     if method not in NORM_METHODS:
         raise ContractError(f"unknown norm method {method!r}; pick from {NORM_METHODS}")
     info = {"method": method, "fallback": False}
     slabs, dims, ranks, comm = _parts(x)
+    if method == "ortho":
+        dt = x if isinstance(x, DistTTTensor) else serial_tt(x)
+        val = _end_core_norm(dt.comm, orthonormalize(dt, "right").local[0])
+        return (val, info) if return_info else val
+    comm = comm or SerialComm()
     if method == "innerprod":
-        val = sqrt(max(inner_product(x, x), 0.0))
-    elif method == "innerprod_sym":
+        val = _sqrt_scaled(*_gram_inner(slabs, slabs, comm))
+    else:
         try:
-            val = _sym_norm(slabs, comm or SerialComm())
+            val = _sqrt_scaled(*_sym_norm(slabs, comm))
         except _IndefiniteGram as e:
             warnings.warn(f"innerprod_sym fell back to innerprod: {e}", stacklevel=2)
             info["fallback"] = True
-            val = sqrt(max(inner_product(x, x), 0.0))
-    else:
-        dt = x if isinstance(x, DistTTTensor) else serial_tt(x)
-        val = _end_core_norm(dt.comm, orthonormalize(dt, "right").local[0])
+            val = _sqrt_scaled(*_gram_inner(slabs, slabs, comm))
     return (val, info) if return_info else val
 
 

@@ -25,17 +25,14 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
-from scipy.linalg import svd as _svd
-from scipy.linalg.blas import dgemm, dtrmm
 
 from .comm import Communicator, SerialComm
 from .core import TTCore, TTTensor, fill_random_slab, _check_chain
+from ._kernels import SVD_FLOPS_PER_MN2, dgemm, dgesdd, dtrmm
 from .errors import ContractError, NumericError, ShapeError
 from .tsqr import tsqr_apply_q, tsqr_factor
 
 ROUNDING_VARIANTS = ("LRLI", "LRL", "RLRI", "RLR")
-
-_SVD_FLOPS_PER_B3 = 21.0  # rough dgesdd count; lower order vs the sweeps
 
 
 def block_bounds(extent: int, nranks: int, rank: int) -> tuple:
@@ -181,6 +178,7 @@ class _Orientation:
         or ``V @ R^T`` by dtrmm (``tri``), a (bond, keep) truncation carry C as
         ``C^T @ H`` or ``V @ C`` by dgemm, at twice the flops per entry."""
         rl, d, rr = slab.shape
+        f = np.asfortranarray(f)  # R and the SVD's carry come C-ordered
         if self.forward:
             h = slab.reshape((rl, d * rr), order="F")
             out = dtrmm(1.0, f, h) if tri else dgemm(1.0, f, h, trans_a=1)
@@ -248,7 +246,7 @@ def _truncate_sweep(dt, slabs, facs, sweep: _Orientation, eps, max_rank, meta) -
             fac, r = tsqr_factor(sweep.panel(slabs[n]), comm)
         with tr.phase("Other"):
             tsvd, basis, carry = sweep.split(r, eps, max_rank)
-            tr.add_flops(_SVD_FLOPS_PER_B3 * b**3)
+            tr.add_flops(SVD_FLOPS_PER_MN2 * b**3)
             keep = basis.shape[1]
             meta["error_bound_violated"] |= tsvd.capped
         with tr.phase("AppQ"):
@@ -348,10 +346,9 @@ def truncated_svd(a, eps: float, max_rank: int | None = None) -> TruncatedSVD:
         raise ContractError(f"eps must be nonnegative, got {eps}")
     if not np.isfinite(a).all():
         raise NumericError("non-finite entries in SVD input")
-    try:
-        u, s, vt = _svd(a, full_matrices=False, lapack_driver="gesdd")
-    except np.linalg.LinAlgError as e:  # pragma: no cover - gesdd rarely fails
-        raise NumericError(f"SVD did not converge: {e}") from e
+    u, s, vt, info = dgesdd(a)
+    if info != 0:  # pragma: no cover - gesdd rarely fails
+        raise NumericError(f"SVD did not converge (dgesdd info={info})")
     # tail_sq[k] = sum of squared singular values strictly after the first k,
     # in units of a power of two near s[0] so that no square over- or
     # underflows; the scaling is exact, so in range nothing else changes

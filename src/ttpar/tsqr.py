@@ -36,7 +36,8 @@ and their explicit Q run dgemqrt on it; dormqr and dorgqr would rebuild T or
 fall back to BLAS-2 code below 128 reflectors.  Tree nodes and short panels
 stay on dgeqrf, dormqr and dorgqr.  scipy's wrappers of dgeqrt and dgemqrt
 hold the GIL, which would serialize ranks simulated as threads, so both are
-called through `ttpar._lapack`, which releases it.
+called through `ttpar._kernels`, which releases it; so is the leaf's
+triangular-block `dtrmm` once it is large enough (`_kernels.GIL_FREE_FLOPS`).
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.linalg.blas import dtrmm
 
-from . import _lapack
+from . import _kernels
 from .comm import Communicator, SpmdRun
 from .errors import CapabilityError, ContractError, NumericError, ShapeError
 
@@ -123,7 +123,7 @@ class LocalQR:
         x = np.zeros((self.qr.shape[0], c.shape[1]), order="F")
         x[: self.b] = self.signs[:, None] * c
         if self.t is not None:
-            info = _lapack.dgemqrt(self.qr, self.t, x)
+            info = _kernels.dgemqrt(self.qr, self.t, x)
         else:
             # dormqr's workspace query answers ncols * nb + 65 * 64 for its
             # block size nb <= 64; the bound at nb = 64 keeps the blocked path
@@ -149,7 +149,7 @@ class LocalQR:
             nb, info = self.t.shape[0], 0
             q = np.eye(m, b, order="F")
             for j in range(nb * ((b - 1) // nb), -1, -nb):
-                info = info or _lapack.dgemqrt(self.qr, self.t, q, j, min(nb, b - j))
+                info = info or _kernels.dgemqrt(self.qr, self.t, q, j, min(nb, b - j))
         if info != 0:
             raise NumericError(f"forming Q failed with info={info}")
         return q[: self.rows] * self.signs[None, :]
@@ -165,7 +165,7 @@ def _wy_route(m: int, b: int) -> bool:
     dgeqrf and dorgqr only take their blocked paths from 128 columns on
     (ilaenv's crossover), so every panel here runs their BLAS-2 code;
     dgeqrt with nb = 32 is blocked at any width, and so is the build of Q
-    from its T (`LocalQR.explicit_q`).  Both are called through `_lapack`,
+    from its T (`LocalQR.explicit_q`).  Both are called through `_kernels`,
     which releases the GIL, because scipy's wrappers of them hold it (while
     one runs, another Python thread runs at about a tenth of its speed)
     while dgeqrf's does not.  The binding costs about 10 us per call, and
@@ -219,7 +219,7 @@ def local_qr(block) -> tuple:
     else:
         af = np.array(a, order="F", copy=True)
     if _wy_route(*af.shape):
-        t, info = _lapack.dgeqrt(af, _WY_NB)
+        t, info = _kernels.dgeqrt(af, _WY_NB)
         if info != 0:
             raise NumericError(f"dgeqrt failed with info={info}")
         qr, tau = af, t[np.arange(b) % t.shape[0], np.arange(b)]
@@ -368,7 +368,8 @@ def _apply_leaf(leaf: LocalQR, block: np.ndarray, comm) -> np.ndarray:
                                  else _flops_wy_q(m_pad, b, leaf.t.shape[0]))
         if block.shape[1] == b and np.array_equal(block, np.eye(b)):
             return q
-        out = dtrmm(1.0, block, np.asfortranarray(q), side=1, lower=0, trans_a=0)
+        out = _kernels.dtrmm(1.0, np.asfortranarray(block), np.asfortranarray(q), side=1,
+                             lower=0, trans_a=0)
         if comm is not None:
             comm.trace.add_flops(float(q.shape[0]) * b * block.shape[1])
         return out

@@ -22,7 +22,7 @@ from ttpar import (
     save_operator,
     scale,
 )
-from ttpar.errors import CapacityError, ContractError, ShapeError
+from ttpar.errors import CapacityError, ContractError, NumericError, ShapeError
 from ttpar.ops import _IndefiniteGram, _pivoted_cholesky
 from ttpar.verify import dense, dense_operator
 
@@ -403,3 +403,30 @@ def test_operator_load_rejects_garbage(tmp_path):
     bad.write_text("KRONOP1\n1 1\n3\nfactor 0 0 1\n0 0 1.0\nextra junk here\n")
     with pytest.raises(ShapeError):
         load_operator(bad)
+
+
+@pytest.mark.parametrize("c", [1e-303, 1e-170, 1e170])
+@pytest.mark.parametrize("nranks", [1, 2])
+def test_gram_norms_at_extreme_scales(nranks, c):
+    """The Gram-recurrence norms keep their value on a tensor whose squared
+    norm float64 cannot hold (it was 0.0, or NaN for innerprod at 1e170),
+    without falling back; <x, x> itself then raises instead of returning a
+    wrong number, while <x, y> with an unscaled y is representable."""
+    x = random_tt((6, 5, 4, 7), (1, 3, 4, 3, 1), seed=3)
+    y = random_tt((6, 5, 4, 7), (1, 2, 3, 2, 1), seed=4)
+    xs = scale(x, c)
+    want_norm = c * np.linalg.norm(dense(x))
+    want_dot = c * float(np.vdot(dense(x), dense(y)))
+
+    def body(comm):
+        dx, dy = distribute(xs, comm), distribute(y, comm)
+        norms = {m: norm(dx, m, return_info=True) for m in ("innerprod", "innerprod_sym")}
+        with pytest.raises(NumericError):
+            inner_product(dx, dx)
+        return norms, inner_product(dx, dy)
+
+    for norms, dot in run_spmd(nranks, body).results:
+        for val, info in norms.values():
+            assert not info["fallback"]
+            assert val == pytest.approx(want_norm, rel=1e-12)
+        assert dot == pytest.approx(want_dot, rel=1e-10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from ttpar import _lapack, tsqr
+from ttpar import _kernels, tsqr
 from ttpar.comm import SerialComm, run_spmd
 from ttpar.errors import CapabilityError, ContractError, NumericError, ShapeError
 from ttpar.tsqr import local_qr, message_trace, tsqr_apply_q, tsqr_factor
@@ -89,7 +89,7 @@ def test_dgeqrt_binding_matches_scipy(shape):
     a = np.random.default_rng(20).standard_normal(shape)
     nb = min(32, *shape)
     got = np.asfortranarray(a)
-    t, info = _lapack.dgeqrt(got, 32)
+    t, info = _kernels.dgeqrt(got, 32)
     want, t_want, info_want = lapack.dgeqrt(nb, a)
     assert info == info_want == 0
     assert np.array_equal(got, want) and np.array_equal(t, t_want)
@@ -101,15 +101,15 @@ def test_dgeqrt_binding_matches_scipy(shape):
 def test_dgeqrt_binding_rejects_bad_layout():
     """Only writable F-contiguous float64 matrices reach the raw pointer call."""
     with pytest.raises(ShapeError):
-        _lapack.dgeqrt(np.ones((8, 4)), 32)  # C order
+        _kernels.dgeqrt(np.ones((8, 4)), 32)  # C order
     with pytest.raises(ShapeError):
-        _lapack.dgeqrt(np.ones((8, 4), dtype=np.float32, order="F"), 32)
+        _kernels.dgeqrt(np.ones((8, 4), dtype=np.float32, order="F"), 32)
     with pytest.raises(ShapeError):
-        _lapack.dgeqrt(np.ones(8), 32)
+        _kernels.dgeqrt(np.ones(8), 32)
     frozen = np.ones((8, 4), order="F")
     frozen.flags.writeable = False
     with pytest.raises(ShapeError):
-        _lapack.dgeqrt(frozen, 32)
+        _kernels.dgeqrt(frozen, 32)
 
 
 @pytest.mark.parametrize("shape,ncols", [((400, 50), 3), ((1000, 64), 64), ((200, 48), 1),
@@ -118,11 +118,11 @@ def test_dgemqrt_binding_matches_scipy(shape, ncols):
     """The GIL-free dgemqrt is bitwise scipy's wrapper, whole and per block."""
     rng = np.random.default_rng(24)
     v = np.asfortranarray(rng.standard_normal(shape))
-    t, _ = _lapack.dgeqrt(v, 32)
+    t, _ = _kernels.dgeqrt(v, 32)
     c = np.asfortranarray(rng.standard_normal((shape[0], ncols)))
     got = c.copy(order="F")
     want, info_want = lapack.dgemqrt(v, t, c)
-    assert _lapack.dgemqrt(v, t, got) == info_want == 0
+    assert _kernels.dgemqrt(v, t, got) == info_want == 0
     assert np.array_equal(got, want)
     # one reflector block on the trailing block c[j:, j:]; the rest untouched
     nb, n = t.shape
@@ -130,7 +130,7 @@ def test_dgemqrt_binding_matches_scipy(shape, ncols):
     for j in range(0, n, nb):
         ib = min(nb, n - j)
         got = c.copy(order="F")
-        assert _lapack.dgemqrt(v, t, got, j, ib) == 0
+        assert _kernels.dgemqrt(v, t, got, j, ib) == 0
         want, _ = lapack.dgemqrt(v[j:, j : j + ib], t[:ib, j : j + ib], c[j:, j:])
         assert np.array_equal(got[j:, j:], want)
         assert np.array_equal(got[:j], c[:j]) and np.array_equal(got[:, :j], c[:, :j])
@@ -140,22 +140,22 @@ def test_dgemqrt_binding_rejects_bad_input():
     """Layouts other than F-contiguous float64, a read-only C and blocks that
     do not fit the factor all raise before the raw pointer call."""
     v = np.asfortranarray(np.random.default_rng(25).standard_normal((80, 40)))
-    t, _ = _lapack.dgeqrt(v, 32)
+    t, _ = _kernels.dgeqrt(v, 32)
     for c in (np.ones((80, 4)), np.ones((80, 4), dtype=np.float32, order="F"), np.ones(80)):
         with pytest.raises(ShapeError):
-            _lapack.dgemqrt(v, t, c)
+            _kernels.dgemqrt(v, t, c)
     frozen = np.ones((80, 4), order="F")
     frozen.flags.writeable = False
     with pytest.raises(ShapeError):
-        _lapack.dgemqrt(v, t, frozen)
+        _kernels.dgemqrt(v, t, frozen)
     with pytest.raises(ShapeError):
-        _lapack.dgemqrt(np.ascontiguousarray(v), t, np.ones((80, 4), order="F"))
+        _kernels.dgemqrt(np.ascontiguousarray(v), t, np.ones((80, 4), order="F"))
     c = np.ones((80, 40), order="F")
     for j, k in ((16, 8), (0, 41), (32, 9), (0, 0)):  # off a T block, past the end, empty
         with pytest.raises(ShapeError):
-            _lapack.dgemqrt(v, t, c, j, k)
+            _kernels.dgemqrt(v, t, c, j, k)
     with pytest.raises(ShapeError):
-        _lapack.dgemqrt(v, t, np.ones((79, 4), order="F"))
+        _kernels.dgemqrt(v, t, np.ones((79, 4), order="F"))
 
 
 @pytest.mark.parametrize("shape,routed", [
