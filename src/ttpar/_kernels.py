@@ -19,17 +19,17 @@ made the model-2 benchmark (two ranks, almost every call below 0.4 Mflop)
 slower: in one process, alternating calls (a 2-vCPU x86-64 VM, one
 OpenBLAS 0.3.30 thread per rank), `inner_product` took 4.5 ms against
 2.5 ms on scipy's wrappers throughout, and the ``innerprod`` norm 4.4
-against 2.5 ms.  Gated, only its 9 Mflop first-mode contraction is released
-there, and it still took 3.3 ms: a lone released call at the start of a
-short operation overlaps little, so callers whose whole operation is short
-pass ``release=False`` (the Gram recurrences, `ops._SUSTAINED_FLOPS`).  On
-model-1 panels, where the calls run 4-50 Mflop and follow each other, the
-released calls overlap across ranks, and at two ranks `inner_product` runs
-in about half the time.  Operands that are not F-contiguous float64
-(writable where overwritten) always take scipy's route, which copies them
-as it needs.
+against 2.5 ms.  Behind the gate only its 9 Mflop first-mode contraction
+is released there, which still costs a GIL hand-off and overlaps little:
+the benchmark's `inner_product` and ``innerprod`` norm read 8% and 6%
+slower than on scipy's wrappers throughout (medians of 10 process pairs).
+On model-1 panels, where the calls run 4-50 Mflop and follow each other,
+the released calls overlap across ranks, and at two ranks
+`inner_product` runs in about 55% of the time.  Operands that are not
+contiguous float64 (F-ordered where written) take scipy's route, which
+copies them as it needs.
 
-`blas_threads_per_rank` sets the thread count of every loaded OpenBLAS for
+`blas_threads_per_rank` caps the thread count of every loaded OpenBLAS for
 the duration of a simulated group, so that P ranks calling BLAS at once do
 not each fan out to a pool sized for the whole machine.
 """
@@ -39,6 +39,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -116,62 +117,80 @@ def _ld(a: np.ndarray) -> int:
     return max(a.shape[0], 1)
 
 
-def dgemm(alpha: float, a: np.ndarray, b: np.ndarray, trans_a: int = 0,
-          trans_b: int = 0, *, release: bool = True) -> np.ndarray:
-    """``alpha * op(a) @ op(b)`` as a new F-ordered array, like scipy's ``dgemm``.
+def _as_fortran(a):
+    """``a`` itself when it is F-contiguous float64, an F-ordered copy when
+    it is C-contiguous float64 (the copy scipy's wrapper would make; reading
+    it as the F-ordered ``a.T`` instead changes OpenBLAS's rounding), else
+    None.  The ctypes routes call this only past the gate, so a smaller
+    call leaves any copy to scipy's wrapper, which makes it holding the GIL."""
+    if _fits(a):
+        return a
+    if isinstance(a, np.ndarray) and a.ndim == 2 and _fits(a.T):
+        return np.asfortranarray(a)
+    return None
 
-    ``release=False`` keeps scipy's route, and the GIL, at any size.
-    """
+
+def dgemm(alpha: float, a: np.ndarray, b: np.ndarray, trans_a: int = 0,
+          trans_b: int = 0) -> np.ndarray:
+    """``alpha * op(a) @ op(b)`` as a new F-ordered array, like scipy's ``dgemm``."""
     m, k = a.shape[::-1] if trans_a else a.shape
     kb, n = b.shape[::-1] if trans_b else b.shape
-    if release and 2.0 * m * n * k >= GIL_FREE_FLOPS and _fits(a) and _fits(b):
-        if kb != k:
-            raise ShapeError(f"dgemm: op(a) is {m} x {k} but op(b) is {kb} x {n}")
-        c = np.empty((m, n), order="F")  # beta = 0: BLAS never reads C
-        ta, tb = (b"T" if t else b"N" for t in (trans_a, trans_b))
-        m_, n_, k_, lda, ldb, ldc = _ints(m, n, k, _ld(a), _ld(b), max(m, 1))
-        _DGEMM(ta, tb, m_, n_, k_, _dbl(alpha), a.ctypes.data, lda, b.ctypes.data, ldb,
-               _dbl(0.0), c.ctypes.data, ldc)
-        return c
+    if 2.0 * m * n * k >= GIL_FREE_FLOPS:
+        af, bf = _as_fortran(a), _as_fortran(b)
+        if af is not None and bf is not None:
+            if kb != k:
+                raise ShapeError(f"dgemm: op(a) is {m} x {k} but op(b) is {kb} x {n}")
+            c = np.empty((m, n), order="F")  # beta = 0: BLAS never reads C
+            ta, tb = (b"T" if t else b"N" for t in (trans_a, trans_b))
+            m_, n_, k_, lda, ldb, ldc = _ints(m, n, k, _ld(af), _ld(bf), max(m, 1))
+            _DGEMM(ta, tb, m_, n_, k_, _dbl(alpha), af.ctypes.data, lda, bf.ctypes.data,
+                   ldb, _dbl(0.0), c.ctypes.data, ldc)
+            return c
     return blas.dgemm(alpha, a, b, trans_a=trans_a, trans_b=trans_b)
 
 
 def dtrmm(alpha: float, a: np.ndarray, b: np.ndarray, side: int = 0, lower: int = 0,
-          trans_a: int = 0, overwrite_b: int = 0, *, release: bool = True) -> np.ndarray:
+          trans_a: int = 0, overwrite_b: int = 0) -> np.ndarray:
     """``alpha * op(a) @ b`` (side 0) or ``alpha * b @ op(a)`` (side 1) for a
     triangular ``a``, like scipy's ``dtrmm``: ``b`` is overwritten and returned
-    when ``overwrite_b`` is set and it is already F-ordered, else copied.
-    ``release`` as in `dgemm`."""
+    when ``overwrite_b`` is set and it is already F-ordered, else copied;
+    C-ordered operands take the ctypes route as in `dgemm`."""
     m, n = b.shape
     k = n if side else m
-    if (release and float(m) * n * k >= GIL_FREE_FLOPS and _fits(a)
-            and _fits(b, bool(overwrite_b))):
-        if a.shape != (k, k):
-            raise ShapeError(f"dtrmm: a is {a.shape}, side {side} of a {b.shape} b "
-                             f"needs {k} x {k}")
-        out = b if overwrite_b else b.copy(order="F")
-        flags = (b"R" if side else b"L", b"L" if lower else b"U",
-                 b"T" if trans_a else b"N", b"N")
-        m_, n_, lda, ldb = _ints(m, n, _ld(a), _ld(out))
-        _DTRMM(*flags, m_, n_, _dbl(alpha), a.ctypes.data, lda, out.ctypes.data, ldb)
-        return out
+    if float(m) * n * k >= GIL_FREE_FLOPS:
+        af = _as_fortran(a)
+        if overwrite_b:
+            out = b if _fits(b, writable=True) else None
+        elif _fits(b):
+            out = b.copy(order="F")
+        else:
+            out = _as_fortran(b)  # a fresh copy, or None
+        if af is not None and out is not None:
+            if a.shape != (k, k):
+                raise ShapeError(f"dtrmm: a is {a.shape}, side {side} of a {b.shape} b "
+                                 f"needs {k} x {k}")
+            flags = (b"R" if side else b"L", b"L" if lower else b"U",
+                     b"T" if trans_a else b"N", b"N")
+            m_, n_, lda, ldb = _ints(m, n, _ld(af), _ld(out))
+            _DTRMM(*flags, m_, n_, _dbl(alpha), af.ctypes.data, lda, out.ctypes.data, ldb)
+            return out
     # f2py would write into a read-only b too
     overwrite_b = overwrite_b and isinstance(b, np.ndarray) and b.flags.writeable
     return blas.dtrmm(alpha, a, b, side=side, lower=lower, trans_a=trans_a,
                       overwrite_b=int(overwrite_b))
 
 
-def dsyrk(alpha: float, a: np.ndarray, trans: int = 0, lower: int = 0, *,
-          release: bool = True) -> np.ndarray:
+def dsyrk(alpha: float, a: np.ndarray, trans: int = 0, lower: int = 0) -> np.ndarray:
     """One triangle of ``alpha * a @ a.T`` (``a.T @ a`` when ``trans``) as a new
-    F-ordered array whose other triangle is zero, like scipy's ``dsyrk``.
-    ``release`` as in `dgemm`."""
+    F-ordered array whose other triangle is zero, like scipy's ``dsyrk``;
+    a C-ordered ``a`` takes the ctypes route as in `dgemm`."""
     n, k = a.shape[::-1] if trans else a.shape
-    if release and float(n) * n * k >= GIL_FREE_FLOPS and _fits(a):
+    af = _as_fortran(a) if float(n) * n * k >= GIL_FREE_FLOPS else None
+    if af is not None:
         c = np.zeros((n, n), order="F")
-        n_, k_, lda, ldc = _ints(n, k, _ld(a), max(n, 1))
+        n_, k_, lda, ldc = _ints(n, k, _ld(af), max(n, 1))
         _DSYRK(b"L" if lower else b"U", b"T" if trans else b"N", n_, k_, _dbl(alpha),
-               a.ctypes.data, lda, _dbl(0.0), c.ctypes.data, ldc)
+               af.ctypes.data, lda, _dbl(0.0), c.ctypes.data, ldc)
         return c
     return blas.dsyrk(alpha, a, trans=trans, lower=lower)
 
@@ -313,19 +332,38 @@ def set_blas_threads(counts) -> None:
         put(n)
 
 
+_GROUPS = threading.Lock()
+_depth = 0  # simulated groups running at once, under _GROUPS
+_saved: list = []  # the counts before the first of them
+
+
 @contextmanager
 def blas_threads_per_rank(nranks: int):
-    """Give every loaded OpenBLAS max(1, cores // nranks) threads for the block,
-    then restore the previous counts; do nothing when the user has set one of
-    `BLAS_THREAD_VARIABLES`."""
+    """Cap every loaded OpenBLAS at max(1, cores // nranks) threads for the
+    block, then restore the previous counts; do nothing when the user has
+    set one of `BLAS_THREAD_VARIABLES`.
+
+    The counts are global to the process, so of groups that overlap in time
+    (nested, or run from several threads) the first sets them and the last
+    to finish restores them; the others run under the first one's cap.  A
+    count already below the cap, say one set in code, is kept.
+    """
+    global _depth, _saved
     if any(os.environ.get(v) for v in BLAS_THREAD_VARIABLES):
         yield
         return
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    saved = get_blas_threads()
-    set_blas_threads(max(1, cores // max(1, nranks)))
+    with _GROUPS:
+        _depth += 1
+        if _depth == 1:
+            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+            cap = max(1, cores // max(1, nranks))
+            _saved = get_blas_threads()
+            set_blas_threads([min(n, cap) for n in _saved])
     try:
         yield
     finally:
-        set_blas_threads(saved)
+        with _GROUPS:
+            _depth -= 1
+            if _depth == 0:
+                set_blas_threads(_saved)

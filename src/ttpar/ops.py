@@ -135,17 +135,7 @@ def hadamard(x, y, max_rank_product: int | None = None):
     return _build(x, out, ranks)
 
 
-#: A Gram recurrence lets its large calls release the GIL only when its local
-#: work reaches this many flops.  Each release hands the GIL to another rank
-#: thread and back, which pays while the ranks' released calls follow each
-#: other and keep both cores busy, as on model 1 (96 of them per rank in an
-#: inner product at P = 2).  A short recurrence has one, at its first mode,
-#: and overlaps little: on model 2 at P = 2 (one 9 Mflop call per rank, about
-#: 20 Mflop in all) releasing it took `inner_product` from 2.5 to 3.3 ms.
-_SUSTAINED_FLOPS = 2.0**26
-
-
-def _gram_step(tr, release, w, a, b) -> np.ndarray:
+def _gram_step(tr, w, a, b) -> np.ndarray:
     """One mode of <x, y>'s recurrence: this rank's share of the next carry.
 
     Folds the carry into x's horizontal unfolding, then contracts against
@@ -153,13 +143,10 @@ def _gram_step(tr, release, w, a, b) -> np.ndarray:
     """
     (ral, d, rar), (rbl, _, rbr) = a.shape, b.shape
     hx = a.reshape((ral, d * rar), order="F")
-    # the allreduced carry comes back C-ordered; F lets a large fold skip the GIL
-    z = (dgemm(1.0, np.asfortranarray(w), hx, release=release) if d * rar
-         else np.zeros((rbl, 0), order="F"))
+    z = dgemm(1.0, w, hx) if d * rar else np.zeros((rbl, 0), order="F")
     vz = z.reshape((rbl * d, rar), order="F")
     vy = b.reshape((rbl * d, rbr), order="F")
-    wn = (dgemm(1.0, vy, vz, trans_a=1, release=release) if rbl * d
-          else np.zeros((rbr, rar), order="F"))
+    wn = dgemm(1.0, vy, vz, trans_a=1) if rbl * d else np.zeros((rbr, rar), order="F")
     tr.add_flops(2.0 * rbl * ral * d * rar + 2.0 * rbr * rbl * d * rar)
     return wn
 
@@ -187,13 +174,15 @@ def _size(w: np.ndarray) -> float:
 
 def _next_carry(comm, step, slabs) -> tuple:
     """Allreduce one mode's ``step(*slabs)``; returns ``(carry, k)``, the
-    mode's true Gram being carry * 2**k.
+    mode's true Gram being carry * 2**k, or ``(None, 0)`` when that Gram is
+    exactly zero, and so is the whole recurrence's value.
 
     The carry is replicated after the allreduce, so every rank takes the
-    same branch.  In-window carries come back untouched (k = 0).  Powers of
-    four keep a Cholesky factor of the carry an exact power-of-two multiple
-    of the unscaled one, so the rescaled recurrences round exactly as the
-    plain ones do wherever those stay representable.
+    same branch and stops at the same mode.  In-window carries come back
+    untouched (k = 0).  Powers of four keep a Cholesky factor of the carry
+    an exact power-of-two multiple of the unscaled one, so the rescaled
+    recurrences round exactly as the plain ones do wherever those stay
+    representable.
     """
     w = comm.allreduce_sum(step(*slabs))
     top = _size(w)
@@ -205,7 +194,9 @@ def _next_carry(comm, step, slabs) -> tuple:
         w = comm.allreduce_sum(step(*(np.ldexp(s, shift) for s in slabs)))
         top = _size(w)
         k = -2 * shift
-    if not 0.0 < top < np.inf:  # a zero mode, or non-finite input
+    if top == 0.0:
+        return None, 0
+    if not top < np.inf:  # non-finite input
         return w, k
     j = (frexp(top)[1] + 1) // 2  # top / 4^j lies in [1/4, 1)
     return np.ldexp(w, -2 * j), k + 2 * j
@@ -214,15 +205,15 @@ def _next_carry(comm, step, slabs) -> tuple:
 def _gram_inner(xs, ys, comm) -> tuple:
     """<x, y> as ``(mantissa, exponent)``, worth mantissa * 2**exponent.
 
-    One allreduce per mode (two for a mode `_next_carry` recomputes).
+    One allreduce per mode (two for a mode `_next_carry` recomputes, and
+    none after a mode whose Gram is zero).
     """
     tr = comm.trace
-    work = sum(2.0 * b.shape[0] * a.shape[1] * a.shape[2] * (a.shape[0] + b.shape[2])
-               for a, b in zip(xs, ys))
-    release = work >= _SUSTAINED_FLOPS
     w, e = np.ones((1, 1), order="F"), 0
     for a, b in zip(xs, ys):
-        w, k = _next_carry(comm, partial(_gram_step, tr, release, w), (a, b))
+        w, k = _next_carry(comm, partial(_gram_step, tr, w), (a, b))
+        if w is None:
+            return 0.0, 0
         e += k
     return float(w[0, 0]), e
 
@@ -280,7 +271,7 @@ def _pivoted_cholesky(w: np.ndarray):
     return lfac, perm, int(rank)
 
 
-def _sym_step(tr, release, lfac, perm, rank, a) -> np.ndarray:
+def _sym_step(tr, lfac, perm, rank, a) -> np.ndarray:
     """One mode of the Gram-factor recurrence: this rank's share of the next
     carry's lower triangle, ``(L^T P^T H)``'s vertical unfolding syrk'd."""
     ral, d, rar = a.shape
@@ -294,15 +285,14 @@ def _sym_step(tr, release, lfac, perm, rank, a) -> np.ndarray:
         # P^T H in one Fortran-ordered pass (take fills a C-ordered H^T P)
         hp = np.take(hx.T, perm, axis=1).T
         if rank == ral:
-            z = dtrmm(1.0, lfac, hp, side=0, lower=1, trans_a=1, overwrite_b=1,
-                      release=release)  # L^T @ (P^T H)
+            # L^T @ (P^T H)
+            z = dtrmm(1.0, lfac, hp, side=0, lower=1, trans_a=1, overwrite_b=1)
             tr.add_flops(float(ral) * ral * d * rar)
         else:
-            z = dgemm(1.0, lfac, hp, trans_a=1, release=release)
+            z = dgemm(1.0, lfac, hp, trans_a=1)
             tr.add_flops(2.0 * rank * ral * d * rar)
     vz = z.reshape((rank * d, rar), order="F")
-    wn = (dsyrk(1.0, vz, trans=1, lower=1, release=release) if rank * d
-          else np.zeros((rar, rar), order="F"))
+    wn = dsyrk(1.0, vz, trans=1, lower=1) if rank * d else np.zeros((rar, rar), order="F")
     tr.add_flops(float(rar) * rar * rank * d)
     return wn
 
@@ -316,13 +306,12 @@ def _sym_norm(slabs, comm) -> tuple:
     carry lives in its lower triangle, which is all dpstrf reads.
     """
     tr = comm.trace
-    work = sum(float(a.shape[0]) * a.shape[1] * a.shape[2] * (a.shape[0] + a.shape[2])
-               for a in slabs)
-    release = work >= _SUSTAINED_FLOPS
     w, e = np.ones((1, 1), order="F"), 0
     for a in slabs:
         lfac, perm, rank = _pivoted_cholesky(w)
-        w, k = _next_carry(comm, partial(_sym_step, tr, release, lfac, perm, rank), (a,))
+        w, k = _next_carry(comm, partial(_sym_step, tr, lfac, perm, rank), (a,))
+        if w is None:
+            return 0.0, 0
         e += k
     return float(w[0, 0]), e
 

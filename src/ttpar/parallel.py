@@ -178,7 +178,6 @@ class _Orientation:
         or ``V @ R^T`` by dtrmm (``tri``), a (bond, keep) truncation carry C as
         ``C^T @ H`` or ``V @ C`` by dgemm, at twice the flops per entry."""
         rl, d, rr = slab.shape
-        f = np.asfortranarray(f)  # R and the SVD's carry come C-ordered
         if self.forward:
             h = slab.reshape((rl, d * rr), order="F")
             out = dtrmm(1.0, f, h) if tri else dgemm(1.0, f, h, trans_a=1)

@@ -368,8 +368,7 @@ def _apply_leaf(leaf: LocalQR, block: np.ndarray, comm) -> np.ndarray:
                                  else _flops_wy_q(m_pad, b, leaf.t.shape[0]))
         if block.shape[1] == b and np.array_equal(block, np.eye(b)):
             return q
-        out = _kernels.dtrmm(1.0, np.asfortranarray(block), np.asfortranarray(q), side=1,
-                             lower=0, trans_a=0)
+        out = _kernels.dtrmm(1.0, block, q, side=1, lower=0, trans_a=0)
         if comm is not None:
             comm.trace.add_flops(float(q.shape[0]) * b * block.shape[1])
         return out

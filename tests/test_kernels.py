@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import blas, svd
 
-from ttpar import _kernels, inner_product, norm, ops, random_tt, run_spmd
+from ttpar import _kernels, inner_product, norm, random_tt, run_spmd
 from ttpar.errors import ShapeError
 
 RAW = ("_DGEMM", "_DTRMM", "_DSYRK", "_DGESDD")
@@ -48,11 +48,14 @@ GEMM_SHAPES = [(3, 4, 5), (50, 2500, 50), (7, 6, 0), (0, 5, 4), (5, 0, 4)]
 
 @pytest.mark.parametrize("m,n,k", GEMM_SHAPES)
 @pytest.mark.parametrize("trans_a,trans_b", [(0, 0), (1, 0), (0, 1), (1, 1)])
-def test_dgemm_is_scipys(gate, m, n, k, trans_a, trans_b):
+@pytest.mark.parametrize("orders", ["FF", "CF", "FC", "CC"])
+def test_dgemm_is_scipys(gate, raw_calls, m, n, k, trans_a, trans_b, orders):
+    """C-ordered operands take the ctypes route too, as F-ordered copies."""
     rng = np.random.default_rng(1)
-    a = _f(rng, (k, m) if trans_a else (m, k))
-    b = _f(rng, (n, k) if trans_b else (k, n))
+    a = np.asarray(_f(rng, (k, m) if trans_a else (m, k)), order=orders[0])
+    b = np.asarray(_f(rng, (n, k) if trans_b else (k, n)), order=orders[1])
     got = _kernels.dgemm(1.5, a, b, trans_a, trans_b)
+    assert bool(raw_calls) is (gate == "forced" or 2.0 * m * n * k >= _kernels.GIL_FREE_FLOPS)
     want = blas.dgemm(1.5, a, b, trans_a=trans_a, trans_b=trans_b)
     assert got.shape == want.shape and got.flags.f_contiguous
     assert np.array_equal(got, want)
@@ -68,15 +71,18 @@ TRMM_SHAPES = [(5, 7), (100, 5000), (0, 3)]
 @pytest.mark.parametrize("lower", [0, 1])
 @pytest.mark.parametrize("trans_a", [0, 1])
 @pytest.mark.parametrize("overwrite_b", [0, 1])
-def test_dtrmm_is_scipys(gate, k, other, side, lower, trans_a, overwrite_b):
+@pytest.mark.parametrize("orders", ["FF", "CF", "FC", "CC"])
+def test_dtrmm_is_scipys(gate, k, other, side, lower, trans_a, overwrite_b, orders):
+    """b is overwritten only when it is F-ordered; C-ordered operands are
+    copied, by either route."""
     rng = np.random.default_rng(2)
-    a = _f(rng, (k, k))
-    b = _f(rng, (other, k) if side else (k, other))
-    before = b.copy(order="F")
-    want = blas.dtrmm(1.5, a, before, side=side, lower=lower, trans_a=trans_a)
+    a = np.asarray(_f(rng, (k, k)), order=orders[0])
+    b = np.asarray(_f(rng, (other, k) if side else (k, other)), order=orders[1])
+    before = b.copy()
+    want = blas.dtrmm(1.5, a, before.copy(), side=side, lower=lower, trans_a=trans_a)
     got = _kernels.dtrmm(1.5, a, b, side, lower, trans_a, overwrite_b)
-    assert np.array_equal(got, want)
-    if overwrite_b:
+    assert np.array_equal(got, want) and got.flags.f_contiguous
+    if overwrite_b and b.flags.f_contiguous:
         assert got is b or b.size == 0
     else:
         assert np.array_equal(b, before) and not np.shares_memory(got, b)
@@ -85,8 +91,9 @@ def test_dtrmm_is_scipys(gate, k, other, side, lower, trans_a, overwrite_b):
 @pytest.mark.parametrize("n,k", [(5, 7), (50, 2500), (1, 3), (4, 0)])
 @pytest.mark.parametrize("trans", [0, 1])
 @pytest.mark.parametrize("lower", [0, 1])
-def test_dsyrk_is_scipys(gate, n, k, trans, lower):
-    a = _f(np.random.default_rng(3), (k, n) if trans else (n, k))
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_dsyrk_is_scipys(gate, n, k, trans, lower, order):
+    a = np.asarray(_f(np.random.default_rng(3), (k, n) if trans else (n, k)), order=order)
     got = _kernels.dsyrk(0.5, a, trans, lower)
     want = blas.dsyrk(0.5, a, trans=trans, lower=lower)
     assert np.array_equal(got, want)
@@ -143,9 +150,9 @@ def test_gil_free_route_pins_shapes(raw_calls, call, gil_free):
 
 
 def test_unfit_operands_take_scipys_route(raw_calls, monkeypatch):
-    """Operands that are not F-contiguous float64 (or not writable where
-    overwritten) never reach a raw pointer call: scipy's wrapper gets them and
-    returns its own bits."""
+    """Operands that are not contiguous float64 (writable and F-ordered
+    where overwritten) never reach a raw pointer call: scipy's wrapper gets
+    them and returns its own bits."""
     monkeypatch.setattr(_kernels, "GIL_FREE_FLOPS", 0)
     rng = np.random.default_rng(6)
     a, b = rng.standard_normal((40, 30)), rng.standard_normal((30, 20))
@@ -155,15 +162,15 @@ def test_unfit_operands_take_scipys_route(raw_calls, monkeypatch):
     tri = _f(rng, (30, 30))
     strided = _f(rng, (80, 30))[::2]
     cases = [
-        (lambda: _kernels.dgemm(1.0, a, b), lambda: blas.dgemm(1.0, a, b)),  # C order
         (lambda: _kernels.dgemm(1.0, a.astype(np.float32, order="F"), b),
          lambda: blas.dgemm(1.0, a.astype(np.float32, order="F"), b)),
         (lambda: _kernels.dgemm(1.0, strided, b), lambda: blas.dgemm(1.0, strided, b)),
         (lambda: _kernels.dtrmm(1.0, tri, frozen, overwrite_b=1),
          lambda: blas.dtrmm(1.0, tri, frozen)),
-        (lambda: _kernels.dtrmm(1.0, np.ascontiguousarray(tri), np.asfortranarray(b)),
-         lambda: blas.dtrmm(1.0, np.ascontiguousarray(tri), b)),
-        (lambda: _kernels.dsyrk(1.0, a, trans=1), lambda: blas.dsyrk(1.0, a, trans=1)),
+        (lambda: _kernels.dtrmm(1.0, strided[:30], np.asfortranarray(b)),
+         lambda: blas.dtrmm(1.0, strided[:30], b)),
+        (lambda: _kernels.dsyrk(1.0, strided, trans=1),
+         lambda: blas.dsyrk(1.0, strided, trans=1)),
     ]
     for got, want in cases:
         assert np.array_equal(got(), want())
@@ -185,21 +192,21 @@ def test_mismatched_shapes_raise_before_the_pointer_call(raw_calls, monkeypatch)
     assert raw_calls == []
 
 
-def test_gram_recurrences_release_only_sustained_work(raw_calls, monkeypatch):
-    """A short Gram recurrence keeps the GIL even in its one large call (the
-    first mode's 6 Mflop contraction here); past `ops._SUSTAINED_FLOPS` of
-    local work the same call releases it.  The values are the same bits."""
-    x = random_tt((2000, 8, 8, 300), (1, 40, 40, 40, 1), seed=9)
-    y = random_tt((2000, 8, 8, 300), (1, 40, 40, 40, 1), seed=10)
+def test_gram_recurrences_give_the_same_bits_on_either_route(raw_calls, monkeypatch):
+    """The Gram recurrences' large calls, the fold of a C-ordered allreduced
+    carry included, take the ctypes route and give the bits of scipy's."""
+    x = random_tt((2000, 24, 24, 300), (1, 40, 40, 40, 1), seed=9)
+    y = random_tt((2000, 24, 24, 300), (1, 40, 40, 40, 1), seed=10)
 
     def values():
         return inner_product(x, y), norm(x), norm(x, "innerprod_sym")
 
-    held = values()
+    gated = values()
+    assert set(raw_calls) == {"_DGEMM", "_DTRMM", "_DSYRK"}
+    raw_calls.clear()
+    monkeypatch.setattr(_kernels, "GIL_FREE_FLOPS", np.inf)
+    assert values() == gated
     assert raw_calls == []
-    monkeypatch.setattr(ops, "_SUSTAINED_FLOPS", 0.0)
-    assert values() == held
-    assert set(raw_calls) == {"_DGEMM", "_DSYRK"}
 
 
 def _cores() -> int:
@@ -256,7 +263,7 @@ def test_binding_lets_another_thread_run():
 def test_blas_threads_per_rank_in_a_group(monkeypatch):
     """Inside a 2-rank group every OpenBLAS reads back max(1, cores // 2)
     threads; the previous counts return afterwards, and a user's variable
-    leaves them alone."""
+    leaves them alone.  A group nested in another runs under the outer cap."""
     saved = _kernels.get_blas_threads()
     policy = max(1, _cores() // 2)
     marker = policy + 1
@@ -267,11 +274,44 @@ def test_blas_threads_per_rank_in_a_group(monkeypatch):
         inside = run_spmd(2, lambda comm: _kernels.get_blas_threads()).results
         assert inside == [[policy] * len(saved)] * 2
         assert _kernels.get_blas_threads() == [marker] * len(saved)
+
+        def nested(comm):
+            inner = run_spmd(1, lambda c: _kernels.get_blas_threads()).results[0]
+            return inner, _kernels.get_blas_threads()
+
+        inside = run_spmd(2, nested).results
+        assert inside == [([policy] * len(saved), [policy] * len(saved))] * 2
+        assert _kernels.get_blas_threads() == [marker] * len(saved)
         for var in _kernels.BLAS_THREAD_VARIABLES:
             monkeypatch.setenv(var, "1")
             inside = run_spmd(2, lambda comm: _kernels.get_blas_threads()).results
             assert inside == [[marker] * len(saved)] * 2
             monkeypatch.delenv(var)
         assert _kernels.get_blas_threads() == [marker] * len(saved)
+    finally:
+        _kernels.set_blas_threads(saved)
+
+
+@pytest.mark.skipif(not _kernels.get_blas_threads(), reason="no OpenBLAS found in the process")
+def test_blas_thread_cap_keeps_lower_counts_and_overlapping_groups(monkeypatch):
+    """A count already below the cap is kept; of two groups that overlap
+    without nesting, the first sets the cap and the last to finish restores
+    the counts."""
+    saved = _kernels.get_blas_threads()
+    for var in _kernels.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(var, raising=False)
+    policy = max(1, _cores() // 2)
+    try:
+        _kernels.set_blas_threads(1)
+        assert run_spmd(2, lambda comm: _kernels.get_blas_threads()).results[0] == [1] * len(saved)
+        _kernels.set_blas_threads(policy + 1)
+        first, second = _kernels.blas_threads_per_rank(2), _kernels.blas_threads_per_rank(1)
+        first.__enter__()
+        second.__enter__()
+        assert _kernels.get_blas_threads() == [policy] * len(saved)
+        first.__exit__(None, None, None)
+        assert _kernels.get_blas_threads() == [policy] * len(saved)
+        second.__exit__(None, None, None)
+        assert _kernels.get_blas_threads() == [policy + 1] * len(saved)
     finally:
         _kernels.set_blas_threads(saved)

@@ -430,3 +430,27 @@ def test_gram_norms_at_extreme_scales(nranks, c):
             assert not info["fallback"]
             assert val == pytest.approx(want_norm, rel=1e-12)
         assert dot == pytest.approx(want_dot, rel=1e-10)
+
+
+def test_gram_recurrences_stop_at_a_zero_mode():
+    """A mode whose Gram is exactly zero is recomputed once (scaled, in case
+    it underflowed) and then ends the recurrence: two allreduces per call at
+    P = 2 on a 5-mode tensor whose first core is zero, not one per mode."""
+    x = random_tt((6, 5, 4, 7, 3), (1, 3, 4, 3, 2, 1), seed=5)
+    y = random_tt((6, 5, 4, 7, 3), (1, 2, 3, 2, 2, 1), seed=6)
+    z = scale(x, 0.0)
+
+    def body(comm):
+        dz, dy = distribute(z, comm), distribute(y, comm)
+        out = []
+        for call in (lambda: inner_product(dz, dy), lambda: inner_product(dy, dz),
+                     lambda: norm(dz, "innerprod", return_info=True),
+                     lambda: norm(dz, "innerprod_sym", return_info=True)):
+            comm.trace.reset()
+            out.append((call(), comm.trace.total("messages")))
+        return out
+
+    for (dot, m1), (dot2, m2), ((n1, i1), m3), ((n2, i2), m4) in run_spmd(2, body).results:
+        assert dot == dot2 == n1 == n2 == 0.0
+        assert not i1["fallback"] and not i2["fallback"]
+        assert m1 == m2 == m3 == m4 == 2
