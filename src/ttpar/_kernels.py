@@ -9,8 +9,9 @@ which release the GIL for the duration of each call.  It is the same
 library, so results are bitwise those of scipy's wrappers.
 
 `dgeqrt` and `dgemqrt` only ever see the tall panels `tsqr._wy_route` picks
-and always take the ctypes route.  `dgemm`, `dtrmm`, `dsyrk` and `dgesdd`
-pick theirs per call, from the flop count their shapes imply: from
+and always take the ctypes route.  `dgemm`, `dgemm_into` (a product
+written into a block of a larger array, in place), `dtrmm`, `dsyrk` and
+`dgesdd` pick theirs per call, from the flop count their shapes imply: from
 `GIL_FREE_FLOPS` on they go through ctypes, below it they call scipy's
 wrapper.  A ctypes call costs about 18 us against about 1 us for scipy's
 wrapper of a tiny product, and each release hands the GIL to another rank
@@ -117,6 +118,22 @@ def _ld(a: np.ndarray) -> int:
     return max(a.shape[0], 1)
 
 
+def _column_ld(a, writable: bool = False) -> int | None:
+    """The leading dimension of ``a`` when it is a float64 matrix whose
+    columns are contiguous and evenly spaced (an F-ordered array or a block
+    of one), else None."""
+    if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64
+            and a.flags.aligned and (a.flags.writeable or not writable)):
+        return None
+    m, n = a.shape
+    step = a.strides[1] // 8
+    if m > 1 and a.strides[0] != 8:
+        return None
+    if n > 1 and (a.strides[1] % 8 or step < m):
+        return None
+    return max(step if n > 1 else m, 1)
+
+
 def _as_fortran(a):
     """``a`` itself when it is F-contiguous float64, an F-ordered copy when
     it is C-contiguous float64 (the copy scipy's wrapper would make; reading
@@ -147,6 +164,28 @@ def dgemm(alpha: float, a: np.ndarray, b: np.ndarray, trans_a: int = 0,
                    ldb, _dbl(0.0), c.ctypes.data, ldc)
             return c
     return blas.dgemm(alpha, a, b, trans_a=trans_a, trans_b=trans_b)
+
+
+def dgemm_into(alpha: float, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Overwrite ``out`` with ``alpha * a @ b``.
+
+    ``out`` may be a block of a larger F-ordered array, and so may ``a`` and
+    ``b``: the ctypes route hands BLAS their leading dimensions, so no
+    operand is copied.  Below the gate, or for operands without contiguous
+    columns, scipy's wrapper forms the product and it is copied into ``out``.
+    """
+    m, k = a.shape
+    kb, n = b.shape
+    if kb != k or out.shape != (m, n):
+        raise ShapeError(f"dgemm_into: {a.shape} @ {b.shape} does not fit a {out.shape} block")
+    if 2.0 * m * n * k >= GIL_FREE_FLOPS:
+        lds = _column_ld(a), _column_ld(b), _column_ld(out, writable=True)
+        if None not in lds:
+            m_, n_, k_, lda, ldb, ldc = _ints(m, n, k, *lds)
+            _DGEMM(b"N", b"N", m_, n_, k_, _dbl(alpha), a.ctypes.data, lda, b.ctypes.data,
+                   ldb, _dbl(0.0), out.ctypes.data, ldc)
+            return
+    out[...] = blas.dgemm(alpha, a, b)
 
 
 def dtrmm(alpha: float, a: np.ndarray, b: np.ndarray, side: int = 0, lower: int = 0,
@@ -248,31 +287,33 @@ def dgeqrt(a: np.ndarray, nb: int) -> tuple:
     return t, info.value
 
 
-def dgemqrt(v: np.ndarray, t: np.ndarray, c: np.ndarray, j: int = 0, k: int | None = None) -> int:
-    """Overwrite ``c[j:, j:]`` with ``H(j) ... H(j+k-1) @ c[j:, j:]``; returns info.
+def dgemqrt(v: np.ndarray, t: np.ndarray, c: np.ndarray, j: int = 0, k: int | None = None,
+            col: int | None = None) -> int:
+    """Overwrite ``c[j:, col:]`` with ``H(j) ... H(j+k-1) @ c[j:, col:]``; returns info.
 
     ``(v, t)`` is a `dgeqrt` factorization: the m x n factored block and its
     nb x n T.  Reflectors j..j+k-1 (all of them by default) touch rows j:
-    only, so the offset j indexes rows and columns alike; columns of ``c``
-    left of j are skipped, which is exact when they vanish below row j.  j
-    must start a T block (a multiple of nb).  ``c`` must be writable; all
-    three arrays are F-contiguous float64.
+    only; columns of ``c`` left of ``col`` (j by default) are skipped, which
+    is exact when they vanish below row j or are formed apart.  j must start
+    a T block (a multiple of nb).  ``c`` must be writable; all three arrays
+    are F-contiguous float64.
     """
     _check("dgemqrt", v)
     _check("dgemqrt", t)
     _check("dgemqrt", c, writable=True)
     m, n = v.shape
     k = n - j if k is None else k
-    if (t.shape[1] != n or c.shape[0] != m or not 0 <= j <= c.shape[1]
-            or j % t.shape[0] or not 0 < k <= min(n, m) - j):
+    col = j if col is None else col
+    if (t.shape[1] != n or c.shape[0] != m or not 0 <= col <= c.shape[1]
+            or j < 0 or j % t.shape[0] or not 0 < k <= min(n, m) - j):
         raise ShapeError(f"dgemqrt: reflectors {j}..{j + k} of a {v.shape} factor with a "
-                         f"{t.shape} T do not fit a {c.shape} block")
-    nb, ncols = min(t.shape[0], k), c.shape[1] - j
+                         f"{t.shape} T do not fit columns {col}: of a {c.shape} block")
+    nb, ncols = min(t.shape[0], k), c.shape[1] - col
     work = np.empty(max(1, nb * ncols))
     info = ctypes.c_int(0)
     m_, n_, k_, nb_, ldv, ldt = _ints(m - j, ncols, k, nb, m, t.shape[0])
     _DGEMQRT(b"L", b"N", m_, n_, k_, nb_, v.ctypes.data + 8 * j * (m + 1), ldv,
-             t.ctypes.data + 8 * j * t.shape[0], ldt, c.ctypes.data + 8 * j * (m + 1), ldv,
+             t.ctypes.data + 8 * j * t.shape[0], ldt, c.ctypes.data + 8 * (j + col * m), ldv,
              work.ctypes.data, ctypes.byref(info))
     return info.value
 

@@ -25,12 +25,14 @@ from .comm import SerialComm
 from .core import TTCore, TTTensor, mode2_multiply
 from .errors import CapacityError, ContractError, NumericError, ShapeError
 from .parallel import (
+    _BACKWARD,
     DistTTTensor,
     RoundingOptions,
     _end_core_norm,
+    _qr_sweep,
     block_bounds,
     gather,
-    orthonormalize,
+    orthonormalize,  # noqa: F401  (re-exported; perfbench/spans.py wraps ops.orthonormalize)
     round_tt,
     serial_tt,
 )
@@ -184,7 +186,8 @@ def _next_carry(comm, step, slabs) -> tuple:
     recurrences round exactly as the plain ones do wherever those stay
     representable.
     """
-    w = comm.allreduce_sum(step(*slabs))
+    with np.errstate(over="ignore", invalid="ignore"):  # redone below if so
+        w = comm.allreduce_sum(step(*slabs))
     top = _size(w)
     if _CARRY_LO <= top <= _CARRY_HI:
         return w, 0
@@ -332,8 +335,11 @@ def norm(x, method: str = "innerprod", return_info: bool = False):
 
     ``innerprod`` takes sqrt(<x, x>); ``innerprod_sym`` propagates a Cholesky
     factor of the Gram carry (half the flops, falls back to ``innerprod``
-    with a warning if roundoff makes the carry indefinite); ``ortho``
-    right-orthonormalizes a copy and reads the norm off the first core.
+    with a warning if roundoff makes the carry indefinite); ``ortho`` runs
+    a right-to-left QR sweep that keeps its Q factors implicit and never
+    applies them, and reads the norm off the first core: that core depends
+    only on the triangles folded into it, so the value is the one a full
+    right orthonormalization gives, bit for bit, at no AppQ cost.
     The Gram routes take the square root of a (mantissa, exponent) pair, so
     norms whose square float64 cannot hold come out right.
     """
@@ -343,7 +349,7 @@ def norm(x, method: str = "innerprod", return_info: bool = False):
     slabs, dims, ranks, comm = _parts(x)
     if method == "ortho":
         dt = x if isinstance(x, DistTTTensor) else serial_tt(x)
-        val = _end_core_norm(dt.comm, orthonormalize(dt, "right").local[0])
+        val = _end_core_norm(dt.comm, _qr_sweep(dt, _BACKWARD, implicit=True)[0][0])
         return (val, info) if return_info else val
     comm = comm or SerialComm()
     if method == "innerprod":

@@ -31,13 +31,18 @@ rows are distributed.
 Every QR is LAPACK Householder QR in dgeqrf's packed layout.  The kernel
 depends on the panel's shape (`_wy_route`): dgeqrf only blocks from 128
 columns on, so tall leaf panels of at least 48 columns go to the blocked
-compact-WY dgeqrt instead.  Those keep its T factor, and both their apply
-and their explicit Q run dgemqrt on it; dormqr and dorgqr would rebuild T or
-fall back to BLAS-2 code below 128 reflectors.  Tree nodes and short panels
-stay on dgeqrf, dormqr and dorgqr.  scipy's wrappers of dgeqrt and dgemqrt
-hold the GIL, which would serialize ranks simulated as threads, so both are
-called through `ttpar._kernels`, which releases it; so is the leaf's
-triangular-block `dtrmm` once it is large enough (`_kernels.GIL_FREE_FLOPS`).
+compact-WY dgeqrt instead.  Those keep its T factor; dormqr and dorgqr would
+rebuild T or fall back to BLAS-2 code below 128 reflectors.  Their apply runs
+dgemqrt on T, and when the block reaching the leaf is upper triangular (the
+identity at P = 1, one of the tree's triangles above) `LocalQR.explicit_q`
+builds Q times it in about 2 m b^2 flops: dgemqrt on each reflector block's
+trailing columns, and the block's own columns formed from T by small
+triangular products and one gemm.  Tree nodes and short panels stay on
+dgeqrf, dormqr and dorgqr, with a dtrmm by the triangle after dorgqr.
+scipy's wrappers of dgeqrt and dgemqrt hold the GIL, which would serialize
+ranks simulated as threads, so both are called through `ttpar._kernels`,
+which releases it; so are the leaf's gemm and dtrmm once they are large
+enough (`_kernels.GIL_FREE_FLOPS`).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import _kernels
 from .comm import Communicator, SpmdRun
@@ -68,24 +73,22 @@ def _flops_orgqr(m: int, n: int, k: int) -> float:
     return 4.0 * m * n * k - 2.0 * (m + n) * k * k + (4.0 / 3.0) * k**3
 
 
-def _flops_wy_q(m: int, b: int, nb: int) -> float:
+def _flops_wy_build(m: int, b: int, nb: int) -> float:
     """Flops of `LocalQR.explicit_q` on a panel factored by dgeqrt.
 
     The sum over reflector blocks j = 0, nb, 2nb, ... (width ib = min(nb,
-    b - j)) of ``_flops_ormqr(m - j, b - j, ib)``, in closed form: dgemqrt
-    applies block j to the whole trailing (m - j) x (b - j) block of Q,
-    including the ib identity columns of its own diagonal block, which
-    dorgqr's unblocked dorg2r treats as the sparse vectors they are.  The
-    build therefore does about 2 m b (b + nb) flops against the algorithmic
-    2 m b^2 (`_flops_orgqr`) that `cost.chain_estimate` keeps; it buys gemm
-    rate for every block.  On a model-1 panel (b = 100, nb = 32) that is
-    about 1.3x the model, on a 50-column panel about 1.5x.
+    b - j)) of what the build does for block j: dgemqrt on the trailing
+    columns, ``_flops_ormqr(m - j, b - j - ib, ib)``; three ib x ib dtrmm
+    for the block's own diagonal block, 3 ib^3; and the gemm below it,
+    2 (m - j - ib) ib^2.  In closed form that is 2 m b^2 - (2/3) b^3 to
+    leading order, dorgqr's count (`_flops_orgqr`) that `cost.chain_estimate`
+    keeps, plus O(b^2 nb) terms.
     """
     q, r = divmod(b, nb)
     s1, s2 = q * (q - 1) / 2.0, (q - 1) * q * (2 * q - 1) / 6.0
     full = (4.0 * nb * (q * m * b - nb * (m + b) * s1 + nb * nb * s2)
-            - 2.0 * nb * nb * (q * b - nb * s1))
-    return full + 4.0 * (m - b + r) * r * r - 2.0 * r**3
+            - 2.0 * nb * nb * (q * (m + b) - 2.0 * nb * s1) + 3.0 * q * nb**3)
+    return full + 2.0 * (m - b + r) * r * r + r**3
 
 
 @dataclass
@@ -95,8 +98,9 @@ class LocalQR:
     ``qr``/``tau`` are the padded block's reflectors and R in LAPACK dgeqrf's
     layout: dgeqrf's own outputs, or on tall panels (`_wy_route`) dgeqrt's
     factored block with tau taken from the diagonals of its T factor.  ``t``
-    is that T (None on dgeqrf blocks); where it is kept, `apply` and
-    `explicit_q` run dgemqrt on it instead of dormqr and dorgqr.  ``signs``
+    is that T (None on dgeqrf blocks); where it is kept, `apply` runs
+    dgemqrt on it instead of dormqr, and `explicit_q` builds Q for a
+    triangle from it instead of dorgqr.  ``signs``
     flips reflector columns so the stored R has a nonnegative diagonal;
     ``rows`` is the original (unpadded) row count, which may be anything
     >= 0 -- zero-row blocks contribute R = 0.
@@ -134,25 +138,48 @@ class LocalQR:
             raise NumericError(f"applying Q failed with info={info}")
         return x[: self.rows]
 
-    def explicit_q(self) -> np.ndarray:
-        """The thin orthonormal factor itself (`rows` x b).
+    def explicit_q(self, c: np.ndarray | None = None) -> np.ndarray:
+        """``Q @ [c; 0]`` for an upper-triangular b x b block ``c``, trimmed to
+        `rows` rows; the thin orthonormal factor itself when ``c`` is None.
 
-        dorgqr on dgeqrf blocks.  With T kept, start from ``[I_b; 0]`` and
-        apply the reflector blocks last to first: block j touches rows j:
-        only, where the columns left of j are still unit vectors, so it is
-        applied to ``q[j:, j:]`` alone (`_flops_wy_q`).
+        Entries below c's diagonal are ignored.  dgeqrf blocks run dorgqr,
+        then dtrmm by ``c``.  With T kept, the build starts from ``[S c; 0]``
+        (S the sign diagonal, the identity when ``c`` is None) and applies the
+        reflector blocks last to first.  Block j (ib reflectors) touches rows
+        j: only, where the columns left of it still vanish; dgemqrt applies
+        it to the columns right of it, ``q[j:, j+ib:]``.  Its own columns are
+        ``[c1; 0]`` in those rows, with c1 an ib x ib triangle, so they are
+        formed from T directly: with W = T_j V1^T c1 they become c1 - V1 W
+        over -V2 W, V1 being the unit lower triangle of the block's
+        reflectors and V2 their rows below it.  That is about 2 m b^2 flops
+        (`_flops_wy_build`), with no identity columns pushed through dgemqrt.
         """
+        b = self.b
+        if c is not None:
+            c = np.asarray(c, dtype=np.float64)
+            if c.shape != (b, b):
+                raise ShapeError(f"expected a ({b}, {b}) triangle, got {c.shape}")
         if self.t is None:
             q, _, info = lapack.dorgqr(self.qr.copy(order="F"), self.tau)
-        else:
-            m, b = self.qr.shape
-            nb, info = self.t.shape[0], 0
-            q = np.eye(m, b, order="F")
-            for j in range(nb * ((b - 1) // nb), -1, -nb):
-                info = info or _kernels.dgemqrt(self.qr, self.t, q, j, min(nb, b - j))
-        if info != 0:
-            raise NumericError(f"forming Q failed with info={info}")
-        return q[: self.rows] * self.signs[None, :]
+            if info != 0:
+                raise NumericError(f"forming Q failed with info={info}")
+            q = q[: self.rows] * self.signs[None, :]
+            return q if c is None else _kernels.dtrmm(1.0, c, q, side=1, overwrite_b=1)
+        v, t = self.qr, self.t
+        m, nb = v.shape[0], t.shape[0]
+        q = np.empty((m, b), order="F")  # every entry is written before it is read
+        q[:b] = np.diag(self.signs) if c is None else self.signs[:, None] * c
+        for j in range(nb * ((b - 1) // nb), -1, -nb):
+            ib = min(nb, b - j)
+            info = _kernels.dgemqrt(v, t, q, j, ib, col=j + ib) if j + ib < b else 0
+            if info != 0:
+                raise NumericError(f"forming Q failed with info={info}")
+            v1, c1 = v[j : j + ib, j : j + ib], np.triu(q[j : j + ib, j : j + ib])
+            w = blas.dtrmm(1.0, v1, c1, lower=1, trans_a=1, diag=1)
+            w = blas.dtrmm(1.0, t[:ib, j : j + ib], w, overwrite_b=1)
+            q[j : j + ib, j : j + ib] = c1 - blas.dtrmm(1.0, v1, w, lower=1, diag=1)
+            _kernels.dgemm_into(-1.0, v[j + ib :, j : j + ib], w, q[j + ib :, j : j + ib])
+        return q[: self.rows]
 
 
 #: Block size of the compact-WY leaf factorization.
@@ -185,14 +212,20 @@ def _wy_route(m: int, b: int) -> bool:
     ======  =====  =====  =====  =====  ======
 
     Model 2's end core, 30 columns: 0.73 at m = 5000, 0.69 at m = 10000.
+    The table predates the build from T (`LocalQR.explicit_q`), which forms
+    Q 2.9x faster at 1000 x 64 and 1.7x faster at 10000 x 100 (single
+    thread, best of 200 or 40 calls); on 192 x 48, the smallest routed
+    panel, it takes 0.10 ms against 0.09 ms before.
     The rule takes the tall panels of at least 48 columns, where the gain is
     large, and leaves the tree nodes (2b x b) on dgeqrf: near break-even
     below 100 columns, and their structured kernel is dtpqrt, not dgeqrt.
-    30-column panels gain only from about 20b rows on, by less, and there
-    the build is one 30-column block at twice dorgqr's flops (`_flops_wy_q`):
-    an explicit sweep over such panels would count about 40% more flops
-    than `cost.chain_estimate`, which the acceptance suite holds to 10%.
-    They stay on dgeqrf.
+    30-column panels gain only from about 20b rows on, and by less.  The
+    build now does dorgqr's flops to leading order (`_flops_wy_build`), so
+    routing them would no longer overcount against `cost.chain_estimate`;
+    but the only such panels the benchmark factors are model 2's end cores
+    (5000 x 30 at two ranks, in the LRLI forward and RLR truncation sweeps),
+    whose Q is applied to narrow blocks and never built, and there the
+    compact-WY factor plus apply is unmeasured.  They stay on dgeqrf.
     """
     return b >= 48 and m >= 4 * b
 
@@ -362,15 +395,15 @@ def _apply_leaf(leaf: LocalQR, block: np.ndarray, comm) -> np.ndarray:
     m_pad = leaf.qr.shape[0]
     b = leaf.b
     if _is_upper_triangular(block):
-        q = leaf.explicit_q()
+        c = None if np.array_equal(block, np.eye(b)) else block
+        out = leaf.explicit_q(c)
         if comm is not None:
-            comm.trace.add_flops(_flops_orgqr(m_pad, b, b) if leaf.t is None
-                                 else _flops_wy_q(m_pad, b, leaf.t.shape[0]))
-        if block.shape[1] == b and np.array_equal(block, np.eye(b)):
-            return q
-        out = _kernels.dtrmm(1.0, block, q, side=1, lower=0, trans_a=0)
-        if comm is not None:
-            comm.trace.add_flops(float(q.shape[0]) * b * block.shape[1])
+            if leaf.t is not None:
+                comm.trace.add_flops(_flops_wy_build(m_pad, b, leaf.t.shape[0]))
+            else:
+                comm.trace.add_flops(_flops_orgqr(m_pad, b, b))
+                if c is not None:
+                    comm.trace.add_flops(float(out.shape[0]) * b * b)
         return out
     out = leaf.apply(block)
     if comm is not None:

@@ -14,6 +14,7 @@ from ttpar import (
     round_tt,
     run_spmd,
     serial_tt,
+    tsqr,
 )
 from ttpar.cost import OP_KINDS, chain_estimate, estimate
 from ttpar.errors import ContractError
@@ -174,6 +175,28 @@ def test_chain_matches_orthonormalize_counters():
     want = {p.phase: p.flops for p in chain_estimate("ortho", dims, ranks).breakdown}
     for phase in ("TSQR", "AppQ", "Other"):
         assert got[phase] == pytest.approx(want[phase], rel=0.03)
+
+
+@pytest.mark.parametrize("nranks", [1, 2])
+def test_routed_orthonormalize_appq_within_ten_percent(nranks):
+    """A sweep whose big panel (10000 x 50) takes the compact-WY route at
+    both P is charged AppQ flops within 10% of the chain's 2 m b^2 / P: the
+    leaf builds Q for the identity or the tree's triangle without pushing
+    identity columns through dgemqrt."""
+    dims, ranks = (200, 200, 200), (1, 50, 50, 1)
+    assert tsqr._wy_route(200 * 50 // nranks, 50)
+    x = random_tt(dims, ranks, seed=8)
+    want = {p.phase: p.flops
+            for p in chain_estimate("ortho", dims, ranks, P=nranks).breakdown}["AppQ"]
+
+    def body(comm):
+        dt = distribute(x, comm)
+        comm.trace.reset()
+        orthonormalize(dt, "right")
+        return flops_by_phase(comm.trace)["AppQ"]
+
+    for got in run_spmd(nranks, body).results:
+        assert abs(got - want) <= 0.10 * want
 
 
 @pytest.mark.parametrize("variant", ["RLR", "RLRI", "LRL", "LRLI"])

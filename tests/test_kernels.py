@@ -61,6 +61,27 @@ def test_dgemm_is_scipys(gate, raw_calls, m, n, k, trans_a, trans_b, orders):
     assert np.array_equal(got, want)
 
 
+# (m, n, k): small, gated (the gemm below a routed 10000 x 100 leaf's first
+# reflector block), k = 0, empty
+GEMM_INTO_SHAPES = [(3, 4, 5), (9968, 32, 32), (7, 6, 0), (0, 5, 4)]
+
+
+@pytest.mark.parametrize("m,n,k", GEMM_INTO_SHAPES)
+def test_dgemm_into_is_scipys(gate, raw_calls, m, n, k):
+    """The product lands in a block of a larger F-ordered array, read from
+    blocks of others, with scipy's bits; nothing outside the block moves."""
+    rng = np.random.default_rng(8)
+    a = _f(rng, (m + 3, k + 2))[2 : 2 + m, 1 : 1 + k]
+    b = _f(rng, (k + 1, n))[1:]
+    big = _f(rng, (m + 4, n + 3))
+    before = big.copy(order="F")
+    _kernels.dgemm_into(-1.5, a, b, big[1 : 1 + m, 2 : 2 + n])
+    assert bool(raw_calls) is (gate == "forced" or 2.0 * m * n * k >= _kernels.GIL_FREE_FLOPS)
+    assert np.array_equal(big[1 : 1 + m, 2 : 2 + n], blas.dgemm(-1.5, a, b))
+    big[1 : 1 + m, 2 : 2 + n] = before[1 : 1 + m, 2 : 2 + n]
+    assert np.array_equal(big, before)
+
+
 # (triangle, other side of b): small, gated (a model-1 fold of a 100 x 100
 # triangle), empty
 TRMM_SHAPES = [(5, 7), (100, 5000), (0, 3)]
@@ -174,6 +195,9 @@ def test_unfit_operands_take_scipys_route(raw_calls, monkeypatch):
     ]
     for got, want in cases:
         assert np.array_equal(got(), want())
+    out = np.empty((40, 20), order="F")
+    _kernels.dgemm_into(1.0, strided, b, out)  # rows two elements apart
+    assert np.array_equal(out, blas.dgemm(1.0, strided, b))
     assert raw_calls == []
     assert np.array_equal(frozen, frozen_before)  # scipy's f2py would have written it
 
@@ -189,6 +213,8 @@ def test_mismatched_shapes_raise_before_the_pointer_call(raw_calls, monkeypatch)
         _kernels.dtrmm(1.0, _f(rng, (5, 5)), _f(rng, (6, 4)))
     with pytest.raises(ShapeError):
         _kernels.dtrmm(1.0, _f(rng, (6, 6)), _f(rng, (6, 4)), side=1)
+    with pytest.raises(ShapeError):
+        _kernels.dgemm_into(1.0, _f(rng, (10, 5)), _f(rng, (5, 4)), _f(rng, (10, 3)))
     assert raw_calls == []
 
 

@@ -17,6 +17,7 @@ from ttpar import (
     inner_product,
     load_operator,
     norm,
+    orthonormalize,
     random_tt,
     run_spmd,
     save_operator,
@@ -24,6 +25,7 @@ from ttpar import (
 )
 from ttpar.errors import CapacityError, ContractError, NumericError, ShapeError
 from ttpar.ops import _IndefiniteGram, _pivoted_cholesky
+from ttpar.parallel import _end_core_norm
 from ttpar.verify import dense, dense_operator
 
 
@@ -430,6 +432,33 @@ def test_gram_norms_at_extreme_scales(nranks, c):
             assert not info["fallback"]
             assert val == pytest.approx(want_norm, rel=1e-12)
         assert dot == pytest.approx(want_dot, rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-170, 1e170, 0.0])
+@pytest.mark.parametrize("nranks", [1, 2, 3])
+def test_ortho_norm_needs_no_q(nranks, c):
+    """The ortho norm keeps its QR sweep implicit: its value is the one read
+    off a right-orthonormalized copy, bit for bit, with the same TSQR flops,
+    words and messages, and no AppQ work at all."""
+    x = random_tt((6, 5, 4, 7), (1, 3, 4, 3, 1), seed=3)
+    xs = scale(x, c)
+
+    def body(comm):
+        dx = distribute(xs, comm)
+        counts = []
+        for call in (lambda: norm(dx, "ortho"),
+                     lambda: _end_core_norm(comm, orthonormalize(dx, "right").local[0])):
+            comm.trace.reset()
+            val = call()
+            tr = comm.trace
+            counts.append((val, tr.flops["TSQR"], tr.words["TSQR"], tr.messages["TSQR"],
+                           tr.flops["AppQ"]))
+        return counts
+
+    for got, want in run_spmd(nranks, body).results:
+        assert got[:4] == want[:4]
+        assert got[4] == 0.0 < want[4]
+        assert got[0] == pytest.approx(c * np.linalg.norm(dense(x)), rel=1e-12)
 
 
 def test_gram_recurrences_stop_at_a_zero_mode():

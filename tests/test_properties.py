@@ -1,5 +1,6 @@
 """Property-based tests: `local_qr` on both kernel routes, any shape and
-magnitude; the vectorized Philox key derivation against numpy's SeedSequence."""
+magnitude; the routed leaf's Q built for a triangle; the vectorized Philox
+key derivation against numpy's SeedSequence."""
 
 import numpy as np
 import pytest
@@ -50,6 +51,46 @@ def test_local_qr_properties(panel):
     assert np.abs(q @ r - a).max(initial=0.0) <= 1e-13 * scale
     assert (np.diagonal(r) >= 0).all()
     assert np.abs(fac.apply(np.eye(b)) - q).max(initial=0.0) <= 1e-13
+
+
+@st.composite
+def routed_triangles(draw):
+    """(panel, c): a panel that takes the dgeqrt route, b from 48 to 110
+    (widths off multiples of 32 included) and 4b to 40b rows, and a b x b
+    upper triangle c: the identity, a dense one, or one with zero columns
+    (rank-deficient), at magnitudes from 1e-150 to 1e150."""
+    b = draw(st.integers(48, 110))
+    m = draw(st.integers(4 * b, 40 * b))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["identity", "dense", "zero columns"]))
+    if kind == "identity":
+        return rng.standard_normal((m, b)), np.eye(b)
+    c = np.triu(rng.standard_normal((b, b))) * 10.0 ** draw(st.integers(-150, 150))
+    if kind == "zero columns":
+        c[:, rng.random(b) < 0.3] = 0.0
+    return rng.standard_normal((m, b)), c
+
+
+def _routed(m, b, magnitude):
+    rng = np.random.default_rng(b)
+    return rng.standard_normal((m, b)), np.triu(rng.standard_normal((b, b))) * magnitude
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(routed_triangles())
+@example(_routed(192, 48, 1e150))
+@example(_routed(4400, 110, 1e-150))
+@example(_routed(400, 97, 1.0))
+def test_routed_explicit_q_of_a_triangle_is_apply(case):
+    """A routed leaf's Q [c; 0], built from T for a triangular c, is what
+    dgemqrt's apply gives, to roundoff relative to c's magnitude."""
+    a, c = case
+    fac, _ = local_qr(a)
+    assert fac.t is not None
+    got = fac.explicit_q(None if np.array_equal(c, np.eye(c.shape[0])) else c)
+    want = fac.apply(c)
+    scale = max(np.abs(c).max(), np.finfo(float).tiny)
+    assert np.abs(got - want).max() <= 1e-13 * scale
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

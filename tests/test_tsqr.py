@@ -124,16 +124,18 @@ def test_dgemqrt_binding_matches_scipy(shape, ncols):
     want, info_want = lapack.dgemqrt(v, t, c)
     assert _kernels.dgemqrt(v, t, got) == info_want == 0
     assert np.array_equal(got, want)
-    # one reflector block on the trailing block c[j:, j:]; the rest untouched
+    # one reflector block on the trailing block c[j:, col:], from its own
+    # columns (col = j) or right of them; the rest untouched
     nb, n = t.shape
     c = np.asfortranarray(rng.standard_normal(shape))
     for j in range(0, n, nb):
         ib = min(nb, n - j)
-        got = c.copy(order="F")
-        assert _kernels.dgemqrt(v, t, got, j, ib) == 0
-        want, _ = lapack.dgemqrt(v[j:, j : j + ib], t[:ib, j : j + ib], c[j:, j:])
-        assert np.array_equal(got[j:, j:], want)
-        assert np.array_equal(got[:j], c[:j]) and np.array_equal(got[:, :j], c[:, :j])
+        for col in (j, j + ib):
+            got = c.copy(order="F")
+            assert _kernels.dgemqrt(v, t, got, j, ib, col=col) == 0
+            want, _ = lapack.dgemqrt(v[j:, j : j + ib], t[:ib, j : j + ib], c[j:, col:])
+            assert np.array_equal(got[j:, col:], want)
+            assert np.array_equal(got[:j], c[:j]) and np.array_equal(got[:, :col], c[:, :col])
 
 
 def test_dgemqrt_binding_rejects_bad_input():
@@ -154,6 +156,9 @@ def test_dgemqrt_binding_rejects_bad_input():
     for j, k in ((16, 8), (0, 41), (32, 9), (0, 0)):  # off a T block, past the end, empty
         with pytest.raises(ShapeError):
             _kernels.dgemqrt(v, t, c, j, k)
+    for col in (-1, 41):
+        with pytest.raises(ShapeError):
+            _kernels.dgemqrt(v, t, c, 0, 32, col=col)
     with pytest.raises(ShapeError):
         _kernels.dgemqrt(v, t, np.ones((79, 4), order="F"))
 
@@ -207,22 +212,30 @@ def test_blocked_leaf_qr(name):
 @pytest.mark.parametrize("m,b,nb", [(10000, 100, 32), (5000, 50, 32), (300, 64, 32),
                                     (250, 60, 32), (40, 7, 32), (64, 33, 16)])
 def test_wy_q_charge_closed_form(m, b, nb):
-    """`_flops_wy_q` is the sum of its per-block dgemqrt charges."""
-    blocks = sum(tsqr._flops_ormqr(m - j, b - j, min(nb, b - j)) for j in range(0, b, nb))
-    assert tsqr._flops_wy_q(m, b, nb) == pytest.approx(blocks, rel=1e-14)
+    """`_flops_wy_build` is the sum of its per-block charges: dgemqrt on the
+    trailing columns, three ib x ib dtrmm and the gemm below the block."""
+    blocks = 0.0
+    for j in range(0, b, nb):
+        ib = min(nb, b - j)
+        blocks += (tsqr._flops_ormqr(m - j, b - j - ib, ib) + 3.0 * ib**3
+                   + 2.0 * (m - j - ib) * ib * ib)
+    assert tsqr._flops_wy_build(m, b, nb) == pytest.approx(blocks, rel=1e-14)
 
 
 def test_routed_explicit_q_charge():
-    """The explicit Q of a routed leaf is charged what dgemqrt does; a dense
-    block is still charged dormqr's count."""
+    """The explicit Q of a routed leaf is charged what its build does, for
+    the identity and a triangle alike; a dense block is still charged
+    dormqr's count."""
     m, b = 2000, 100
-    a = np.random.default_rng(26).standard_normal((m, b))
+    rng = np.random.default_rng(26)
+    a = rng.standard_normal((m, b))
     comm = SerialComm()
     fac, _ = tsqr_factor(a, comm)
     assert fac.leaf.t is not None
-    comm.trace.reset()
-    tsqr_apply_q(fac, np.eye(b), comm)
-    assert comm.trace.total("flops") == tsqr._flops_wy_q(m, b, tsqr._WY_NB)
+    for c in (np.eye(b), np.triu(rng.standard_normal((b, b)))):
+        comm.trace.reset()
+        tsqr_apply_q(fac, c, comm)
+        assert comm.trace.total("flops") == tsqr._flops_wy_build(m, b, tsqr._WY_NB)
     comm.trace.reset()
     tsqr_apply_q(fac, np.ones((b, 3)), comm)
     assert comm.trace.total("flops") == tsqr._flops_ormqr(m, 3, b)
@@ -255,6 +268,28 @@ def test_tsqr_on_blocked_leaves(nranks):
         assert np.array_equal(r, rs[0])
     assert np.allclose(rs[0], r_ref, rtol=1e-12, atol=1e-12)
     assert np.allclose(q.T @ q, np.eye(50), atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["butterfly", "binomial"])
+@pytest.mark.parametrize("nranks", [2, 3, 4])
+def test_routed_leaves_build_q_from_the_tree_triangle(monkeypatch, variant, nranks):
+    """At P > 1 the identity reaches every routed leaf as one of the tree's
+    triangles, which `LocalQR.explicit_q` takes whole; the gathered Q is
+    orthonormal and Q R = A."""
+    a = np.random.default_rng(27).standard_normal((2400, 60))  # 60 = 32 + 28
+    assert all(tsqr._wy_route(*blk.shape) for blk in row_blocks(a, nranks))
+    built = []
+    explicit_q = tsqr.LocalQR.explicit_q
+
+    def spy(self, c=None):
+        built.append((self.t is not None, c is not None))
+        return explicit_q(self, c)
+
+    monkeypatch.setattr(tsqr.LocalQR, "explicit_q", spy)
+    q, rs, _ = tsqr_gathered(a, nranks, variant)
+    assert built == [(True, True)] * nranks
+    assert np.abs(q.T @ q - np.eye(60)).max() <= 1e-13
+    assert np.abs(q @ rs[0] - a).max() <= 1e-13 * np.abs(a).max()
 
 
 @pytest.mark.parametrize("nranks", [2, 3, 5, 8])
