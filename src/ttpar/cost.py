@@ -12,7 +12,8 @@ algorithm; they vanish at P = 1 where no exchange happens at all.
 (dims, ranks) chain.  End bonds have rank 1, so for short trains the uniform
 formulas overshoot real instrumented counters by 20-30%; the chain form is
 what counter validation compares against, phase by phase.  Its sweep shapes
-come from the orientation objects `ttpar.parallel`'s sweeps run on.
+come from the orientation objects `ttpar.parallel`'s sweeps run on; its norm
+also counts each mode's replicated Cholesky of the r x r carry (r^3 / 3).
 """
 
 from __future__ import annotations
@@ -193,6 +194,8 @@ def chain_estimate(op_kind, dims, ranks, P=1, out_ranks=None,
             d * ranks[n] ** 2 * ranks[n + 1] + d * ranks[n] * ranks[n + 1] ** 2
             for n, d in enumerate(dims)
         ) / P
+        if kind == "norm":  # each mode's replicated dpotrf of its r x r carry
+            f["Other"] += sum(r * (r + 1) * (2 * r + 1) // 6 for r in ranks[:-1])
         words = sum(r * r for r in ranks[1:]) * (P > 1)
         messages = N * lg
     else:  # orthonormalization (a right sweep) or rounding

@@ -4,6 +4,8 @@ All of these operate slab-locally where the math allows it: scaling touches
 one core, addition builds block-diagonal cores, and the Hadamard product
 takes slicewise Kronecker products -- none of them communicate.  Inner
 products and norms reduce one small Gram matrix per mode (an allreduce each);
+the symmetric norm factors each carry by an unpivoted Cholesky (dpotrf) and
+runs the pivoted, checked one (dpstrf) only when dpotrf rejects the carry.
 `apply_operator` is the only op that moves core data between ranks, and only
 the mode slices the operator's sparsity actually couples.
 """
@@ -18,7 +20,7 @@ from math import frexp, sqrt
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dasum
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.lapack import dpotrf, dpstrf
 
 from ._kernels import dgemm, dsyrk, dtrmm
 from .comm import SerialComm
@@ -274,26 +276,60 @@ def _pivoted_cholesky(w: np.ndarray):
     return lfac, perm, int(rank)
 
 
-def _sym_step(tr, lfac, perm, rank, a) -> np.ndarray:
+def _cholesky_flops(n: int, k: int) -> int:
+    """Flops of the first ``k`` columns of an n x n Cholesky factorization:
+    column j updates its n - j entries by j earlier columns, takes a square
+    root and scales.  An integer, n (n + 1) (2n + 1) / 6 ~ n^3 / 3 for k = n."""
+    return n * k * k - (k - 1) * k * (2 * k - 1) // 3 - k * (k - 1) // 2
+
+
+def _gram_factor(w: np.ndarray) -> tuple:
+    """``(f, triangular, flops)``: a factor with ``f @ f.T`` equal to the SPSD
+    Gram carry held in the lower triangle of ``w``, and the flops spent.
+
+    dpotrf comes first: it reads only the lower triangle, where the carry
+    lives, and on success ``f`` is its lower-triangular L, unpermuted.  It
+    needs no check: a dpotrf that succeeds is backward stable,
+    ||L L^T - W|| <= c n^2 u ||W|| (about 1e-12 relative at n = 100), far
+    below the `_GRAM_RESID_RTOL` residual that `_pivoted_cholesky` rejects,
+    so no carry dpotrf accepts could fail that check.  Only a pivot that is
+    not positive -- a rank-deficient carry, as in the norm of an unrounded
+    sum, or an indefinite one -- runs `_pivoted_cholesky`, check and all;
+    ``f`` is then its factor with the pivot folded into the rows (P L,
+    r x rank), so the step needs no permuted copy of the slab.  (OpenBLAS's
+    dpotrf passes a NaN pivot through; only a non-finite input makes one,
+    and its NaN norm raises in `_sqrt_scaled` as on the pivoted route.)
+    """
+    n = w.shape[0]
+    c, info = dpotrf(w, lower=1, clean=0)
+    if info == 0:
+        return c, True, _cholesky_flops(n, n)
+    if info < 0:
+        raise NumericError(f"dpotrf failed with info={info}")
+    lfac, perm, rank = _pivoted_cholesky(w)
+    pl = np.empty_like(lfac)
+    pl[perm] = lfac
+    return pl, False, _cholesky_flops(n, info - 1) + _cholesky_flops(n, rank)
+
+
+def _sym_step(tr, f, triangular, a) -> np.ndarray:
     """One mode of the Gram-factor recurrence: this rank's share of the next
-    carry's lower triangle, ``(L^T P^T H)``'s vertical unfolding syrk'd."""
+    carry's lower triangle, ``(f^T H)``'s vertical unfolding syrk'd."""
     ral, d, rar = a.shape
+    rank = f.shape[1]
     hx = a.reshape((ral, d * rar), order="F")
     if d * rar == 0:
         z = np.zeros((rank, 0), order="F")
-    elif rank == ral == 1:  # the first mode: a 1x1 triangle is a scalar
-        z = hx * lfac[0, 0]
+    elif rank == ral == 1:  # the first mode: a 1x1 factor is a scalar
+        z = hx * f[0, 0]
         tr.add_flops(float(d * rar))
+    elif triangular:
+        # L^T @ H on a copy: hx may be a view of the caller's slab
+        z = dtrmm(1.0, f, hx, side=0, lower=1, trans_a=1)
+        tr.add_flops(float(ral) * ral * d * rar)
     else:
-        # P^T H in one Fortran-ordered pass (take fills a C-ordered H^T P)
-        hp = np.take(hx.T, perm, axis=1).T
-        if rank == ral:
-            # L^T @ (P^T H)
-            z = dtrmm(1.0, lfac, hp, side=0, lower=1, trans_a=1, overwrite_b=1)
-            tr.add_flops(float(ral) * ral * d * rar)
-        else:
-            z = dgemm(1.0, lfac, hp, trans_a=1)
-            tr.add_flops(2.0 * rank * ral * d * rar)
+        z = dgemm(1.0, f, hx, trans_a=1)
+        tr.add_flops(2.0 * rank * ral * d * rar)
     vz = z.reshape((rank * d, rar), order="F")
     wn = dsyrk(1.0, vz, trans=1, lower=1) if rank * d else np.zeros((rar, rar), order="F")
     tr.add_flops(float(rar) * rar * rank * d)
@@ -302,17 +338,18 @@ def _sym_step(tr, lfac, perm, rank, a) -> np.ndarray:
 
 def _sym_norm(slabs, comm) -> tuple:
     """||x||^2 by the Gram recurrence, as ``(mantissa, exponent)`` like
-    `_gram_inner`: one pivoted Cholesky + trmm + syrk per mode.
+    `_gram_inner`: one Cholesky (`_gram_factor`) + trmm + syrk per mode.
 
     Halves the inner-product flops (2 N I R^3 / P) by propagating a
     triangular factor of the carry instead of the full operand pair.  The
-    carry lives in its lower triangle, which is all dpstrf reads.
+    carry lives in its lower triangle, which is all the factorizations read.
     """
     tr = comm.trace
     w, e = np.ones((1, 1), order="F"), 0
     for a in slabs:
-        lfac, perm, rank = _pivoted_cholesky(w)
-        w, k = _next_carry(comm, partial(_sym_step, tr, lfac, perm, rank), (a,))
+        f, triangular, flops = _gram_factor(w)
+        tr.add_flops(float(flops))
+        w, k = _next_carry(comm, partial(_sym_step, tr, f, triangular), (a,))
         if w is None:
             return 0.0, 0
         e += k
@@ -334,12 +371,15 @@ def norm(x, method: str = "innerprod", return_info: bool = False):
     """Frobenius norm by one of three routes.
 
     ``innerprod`` takes sqrt(<x, x>); ``innerprod_sym`` propagates a Cholesky
-    factor of the Gram carry (half the flops, falls back to ``innerprod``
-    with a warning if roundoff makes the carry indefinite); ``ortho`` runs
-    a right-to-left QR sweep that keeps its Q factors implicit and never
-    applies them, and reads the norm off the first core: that core depends
-    only on the triangles folded into it, so the value is the one a full
-    right orthonormalization gives, bit for bit, at no AppQ cost.
+    factor of the Gram carry (half the flops): dpotrf first, and dpstrf with
+    a reconstruction check only when dpotrf meets a pivot that is not
+    positive, as on the singular carries of an unrounded sum; it falls back
+    to ``innerprod`` with a warning if roundoff makes the carry indefinite.
+    ``ortho`` runs a right-to-left QR sweep that keeps its Q factors
+    implicit and never applies them, and reads the norm off the first core:
+    that core depends only on the triangles folded into it, so the value is
+    the one a full right orthonormalization gives, bit for bit, at no AppQ
+    cost.
     The Gram routes take the square root of a (mantissa, exponent) pair, so
     norms whose square float64 cannot hold come out right.
     """

@@ -24,7 +24,8 @@ from ttpar import (
     scale,
 )
 from ttpar.errors import CapacityError, ContractError, NumericError, ShapeError
-from ttpar.ops import _IndefiniteGram, _pivoted_cholesky
+from ttpar import ops
+from ttpar.ops import _gram_factor, _IndefiniteGram, _pivoted_cholesky
 from ttpar.parallel import _end_core_norm
 from ttpar.verify import dense, dense_operator
 
@@ -217,7 +218,7 @@ def test_norm_sym_falls_back_on_indefinite_gram(monkeypatch):
     def boom(w):
         raise _IndefiniteGram("forced")
 
-    monkeypatch.setattr("ttpar.ops._pivoted_cholesky", boom)
+    monkeypatch.setattr("ttpar.ops._gram_factor", boom)
     with pytest.warns(UserWarning, match="fell back"):
         val, info = norm(x, "innerprod_sym", return_info=True)
     assert info["fallback"]
@@ -229,6 +230,58 @@ def test_pivoted_cholesky_rejects_indefinite(magnitude):
     w = np.diag([1.0, -1.0]) * magnitude
     with pytest.raises(_IndefiniteGram):
         _pivoted_cholesky(w)
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 1e200])
+def test_gram_factor_rejects_indefinite(magnitude):
+    # dpotrf stops at the negative pivot; the pivoted check then rejects it
+    with pytest.raises(_IndefiniteGram):
+        _gram_factor(np.diag([1.0, -1.0]) * magnitude)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``ttpar.ops.<name>`` so that its calls are counted."""
+    calls = []
+    real = getattr(ops, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ops, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("nranks", [1, 2])
+def test_norm_sym_full_rank_carry_never_calls_dpstrf(monkeypatch, nranks):
+    """Full-rank carries take dpotrf's unpivoted factor and nothing else."""
+    x = random_tt((6, 5, 4, 7), (1, 3, 4, 3, 1), seed=8)
+    calls = _count_calls(monkeypatch, "dpstrf")
+
+    def body(comm):
+        return norm(distribute(x, comm), "innerprod_sym", return_info=True)
+
+    for val, info in run_spmd(nranks, body).results:
+        assert not info["fallback"]
+        assert val == pytest.approx(np.linalg.norm(dense(x)), rel=1e-12)
+    assert calls == []
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 3])
+def test_norm_sym_doubled_sum_takes_the_pivoted_route(monkeypatch, nranks):
+    """x + x has exactly singular carries: dpotrf rejects them, and the
+    pivoted factor carries the recurrence without a fallback."""
+    x = random_tt((6, 5, 4, 7), (1, 3, 4, 3, 1), seed=9)
+    y = add(x, x)
+    calls = _count_calls(monkeypatch, "_pivoted_cholesky")
+
+    def body(comm):
+        return norm(distribute(y, comm), "innerprod_sym", return_info=True)
+
+    for val, info in run_spmd(nranks, body).results:
+        assert not info["fallback"]
+        assert val == pytest.approx(np.linalg.norm(dense(y)), rel=1e-11)
+    assert calls
 
 
 def test_norm_sym_large_carry_does_not_overflow():

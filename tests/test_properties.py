@@ -1,6 +1,6 @@
 """Property-based tests: `local_qr` on both kernel routes, any shape and
 magnitude; the routed leaf's Q built for a triangle; the vectorized Philox
-key derivation against numpy's SeedSequence."""
+key derivation against numpy's SeedSequence; the two Gram norms across P."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from ttpar import tsqr  # noqa: E402
+from ttpar import add, distribute, norm, random_tt, run_spmd, scale, tsqr  # noqa: E402
 from ttpar.core import _slice_keys  # noqa: E402
 from ttpar.tsqr import local_qr  # noqa: E402
 
@@ -109,3 +109,45 @@ def test_slice_keys_match_seed_sequence(seed, n, lo, count):
     want = [np.random.SeedSequence(seed, spawn_key=(n, i)).generate_state(2, np.uint64)
             for i in range(lo, lo + count)]
     assert np.array_equal(_slice_keys(seed, n, lo, lo + count), np.array(want))
+
+
+@st.composite
+def gram_norm_cases(draw):
+    """(x, P): a random TT of up to 5 modes of size 1 to 6 and bond ranks 1
+    to 5, scaled by c = +-10^-300 to 10^300, and in half the draws doubled
+    as add(x, x), whose carries are exactly singular; P from 1 to 4, so
+    modes smaller than P leave ranks idle."""
+    n_modes = draw(st.integers(1, 5))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(n_modes))
+    ranks = (1,) + tuple(draw(st.integers(1, 5)) for _ in range(n_modes - 1)) + (1,)
+    x = random_tt(dims, ranks, draw(st.integers(0, 2**16)))
+    c = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.integers(-300, 300))
+    x = scale(x, c)
+    if draw(st.booleans()):
+        x = add(x, x)
+    return x, draw(st.integers(1, 4))
+
+
+def _gram_case(dims, ranks, c, doubled, nranks):
+    x = scale(random_tt(dims, ranks, 0), c)
+    return (add(x, x) if doubled else x), nranks
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(gram_norm_cases())
+@example(_gram_case((6, 5, 4, 3), (1, 5, 5, 3, 1), 1e-300, True, 4))
+@example(_gram_case((6, 5, 4, 3), (1, 5, 5, 3, 1), 1e300, True, 3))
+@example(_gram_case((2, 6, 1, 5), (1, 2, 5, 1, 1), 1e-170, False, 4))
+def test_sym_norm_agrees_with_innerprod_across_p(case):
+    """innerprod_sym's value is innerprod's to 1e-11 relative at any P, never
+    falls back, and is a finite positive number for a nonzero tensor."""
+    x, nranks = case
+
+    def body(comm):
+        dx = distribute(x, comm, allow_idle=True)
+        return norm(dx, "innerprod_sym", return_info=True), norm(dx, "innerprod")
+
+    for (val, info), want in run_spmd(nranks, body).results:
+        assert not info["fallback"]
+        assert np.isfinite(val) and val > 0.0
+        assert val == pytest.approx(want, rel=1e-11)
