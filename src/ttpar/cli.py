@@ -98,6 +98,7 @@ def _footprint_doubles(op: str, dims, ranks) -> int:
     if op == "add":
         return 2 * base + _tensor_doubles(dims, doubled)
     if op == "hadamard":
+        # each product core is written once, in place: no full-core temporary is left out
         product = tuple(r * r for r in ranks)
         return 2 * base + _tensor_doubles(dims, product)
     if op == "dot":

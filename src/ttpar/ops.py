@@ -78,8 +78,8 @@ def _check_pair(x, y):
 def scale(x, s: float):
     """Multiply by a scalar (folded into the first core; no communication)."""
     slabs, dims, ranks, _ = _parts(x)
-    out = [sl.copy(order="F") for sl in slabs]
-    out[0] *= float(s)
+    out = [np.multiply(slabs[0], float(s), order="F")]
+    out += [sl.copy(order="F") for sl in slabs[1:]]
     return _build(x, out, ranks)
 
 
@@ -116,11 +116,19 @@ def add(x, y):
 def hadamard(x, y, max_rank_product: int | None = None):
     """Elementwise product: slicewise Kronecker cores, bond ranks multiply.
 
+    Each output core is written once, by one broadcast multiply straight
+    into its F-ordered array; no temporary core is formed, only copies of
+    the operands spread over each other's left rank (1/rar + 1/rbr of the
+    core's size).  Its row index a * rbl + c pairs x's row a with y's row c,
+    and likewise its columns.
     Refuses to build bonds above ``max_rank_product`` (default
-    `HADAMARD_RANK_GUARD`) since memory grows with the rank product squared.
+    `HADAMARD_RANK_GUARD`, at least 1) since memory grows with the rank
+    product squared.
     """
     xs, ys, dims, xr, yr, comm = _check_pair(x, y)
     guard = HADAMARD_RANK_GUARD if max_rank_product is None else int(max_rank_product)
+    if guard < 1:
+        raise ContractError(f"max_rank_product must be >= 1, got {guard}")
     ranks = tuple(rx * ry for rx, ry in zip(xr, yr))
     if max(ranks) > guard:
         raise CapacityError(
@@ -131,8 +139,16 @@ def hadamard(x, y, max_rank_product: int | None = None):
     flops = 0.0
     for a, b in zip(xs, ys):
         (ral, d, rar), (rbl, _, rbr) = a.shape, b.shape
-        z = np.einsum("aib,cid->acibd", a, b).reshape(ral * rbl, d, rar * rbr)
-        out.append(np.asfortranarray(z))
+        # y's core spread over x's left rank and x's over y's (a view when
+        # that rank is 1), so both run contiguously down z's rbl * ral rows
+        # and the multiply's inner loop spans them all, not rbl at a time;
+        # numpy's loop releases the GIL, so simulated ranks still overlap
+        sb = np.asfortranarray(np.broadcast_to(b[:, None], (rbl, ral, d, rbr)))
+        sa = np.asfortranarray(np.broadcast_to(a[None], (rbl, ral, d, rar)))
+        z = np.empty((ral * rbl, d, rar * rbr), order="F")
+        np.multiply(sb[:, :, :, :, None], sa[:, :, :, None, :],
+                    out=z.reshape((rbl, ral, d, rbr, rar), order="F", copy=False))
+        out.append(z)
         flops += float(d) * ral * rbl * rar * rbr
     if comm is not None:
         comm.trace.add_flops(flops)

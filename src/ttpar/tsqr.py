@@ -211,7 +211,7 @@ def _wy_route(m: int, b: int) -> bool:
     100     0.59   0.61   0.44   0.48   0.33
     ======  =====  =====  =====  =====  ======
 
-    Model 2's end core, 30 columns: 0.73 at m = 5000, 0.69 at m = 10000.
+    30 columns at m = 5000 and 10000, model 2's end-core heights: 0.73, 0.69.
     The table predates the build from T (`LocalQR.explicit_q`), which forms
     Q 2.9x faster at 1000 x 64 and 1.7x faster at 10000 x 100 (single
     thread, best of 200 or 40 calls); on 192 x 48, the smallest routed
@@ -222,10 +222,11 @@ def _wy_route(m: int, b: int) -> bool:
     30-column panels gain only from about 20b rows on, and by less.  The
     build now does dorgqr's flops to leading order (`_flops_wy_build`), so
     routing them would no longer overcount against `cost.chain_estimate`;
-    but the only such panels the benchmark factors are model 2's end cores
-    (5000 x 30 at two ranks, in the LRLI forward and RLR truncation sweeps),
-    whose Q is applied to narrow blocks and never built, and there the
-    compact-WY factor plus apply is unmeasured.  They stay on dgeqrf.
+    but the benchmark factors no tall 30-column panel.  Model 2's end cores
+    reach its LRLI forward and RLR truncation sweeps as 5000 x 60 panels at
+    two ranks, because the rounding input 2x - x has rank 60, and are
+    routed already; its 30-column panels are 50 to 90 rows tall.  With no
+    measured gain, 30-column panels stay on dgeqrf.
     """
     return b >= 48 and m >= 4 * b
 

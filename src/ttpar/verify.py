@@ -150,6 +150,8 @@ def _check_rounding(quick: bool):
 
 
 def _check_arithmetic(quick: bool):
+    from .comm import run_spmd
+
     worst = 0.0
     shapes = _QUICK_SHAPES if quick else _FULL_SHAPES
     for dims, ranks in shapes:
@@ -157,8 +159,18 @@ def _check_arithmetic(quick: bool):
         y = random_tt(dims, ranks, seed=402)
         dx, dy = dense(x), dense(y)
         scale = np.linalg.norm(dx) * np.linalg.norm(dy)
-        worst = max(worst, np.linalg.norm(full(ops.add(x, y)).as_array() - (dx + dy)))
-        worst = max(worst, np.linalg.norm(full(ops.hadamard(x, y)).as_array() - dx * dy))
+        sums, products = [ops.add(x, y)], [ops.hadamard(x, y)]
+        for p in (2, 3):  # the slab-local kernels on row-distributed operands
+            def body(comm):
+                px, py = distribute(x, comm), distribute(y, comm)
+                return gather(ops.add(px, py)), gather(ops.hadamard(px, py))
+
+            s, h = run_spmd(p, body).results[0]
+            sums.append(s)
+            products.append(h)
+        for s, h in zip(sums, products):
+            worst = max(worst, np.linalg.norm(full(s).as_array() - (dx + dy)))
+            worst = max(worst, np.linalg.norm(full(h).as_array() - dx * dy))
         worst = max(worst, abs(ops.inner_product(x, y) - np.vdot(dx, dy)) / scale)
         for method in ("innerprod", "innerprod_sym", "ortho"):
             worst = max(

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from tests_support import child_env
+from ttpar import hadamard, random_tt
 from ttpar.cli import MODELS, build_parser, main
+from ttpar.errors import ContractError
 
 
 def run_cli(argv):
@@ -221,6 +223,16 @@ def test_contract_errors_exit_1():
                     "--P", 0]) == 1
     assert run_cli(["cost", "--op", "nonsense", "--N", 2, "--I", 2, "--R", 2]) == 1
     assert run_cli(["run", "--op", "dot", "--model", 1, "--scale", -1]) == 1
+
+
+def test_hadamard_rank_cap_below_one_is_a_contract_error(capsys):
+    x = random_tt((4, 4), (1, 3, 1), seed=5)
+    for cap in (0, -2):
+        with pytest.raises(ContractError, match=f"max_rank_product must be >= 1, got {cap}"):
+            hadamard(x, x, max_rank_product=cap)
+    assert run_cli(["run", "--op", "hadamard", "--model", 2, "--scale", "1e-4",
+                    "--P", 2, "--rank-cap", 0]) == 1
+    assert capsys.readouterr().err.strip() == "ttpar: max_rank_product must be >= 1, got 0"
 
 
 @pytest.mark.parametrize("cmd", ["gen", "run"])
