@@ -15,11 +15,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from math import frexp, sqrt
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dasum
 from scipy.linalg.lapack import dpotrf, dpstrf
 
 from ._kernels import dgemm, dsyrk, dtrmm
@@ -31,7 +29,9 @@ from .parallel import (
     DistTTTensor,
     RoundingOptions,
     _end_core_norm,
+    _next_carry,
     _qr_sweep,
+    _sqrt_scaled,
     block_bounds,
     gather,
     orthonormalize,  # noqa: F401  (re-exported; perfbench/spans.py wraps ops.orthonormalize)
@@ -171,68 +171,24 @@ def _gram_step(tr, w, a, b) -> np.ndarray:
     return wn
 
 
-#: A Gram carry whose size (`_size`) leaves [2^-500, 2^500] is brought back
-#: to [1/4, 1) by an exact power of four, which the recurrence keeps as an
-#: integer exponent; the next mode then has 2^500 of headroom either way.
-#: A carry that overflowed, or whose size lies below 2^-969 where its
-#: products may have lost digits to underflow (zero included), is first
-#: recomputed once from the mode's slabs scaled by 2^-+600.
-_CARRY_LO, _CARRY_HI = 2.0**-500, 2.0**500
-_CARRY_LOST = 2.0**-969
-_CARRY_SHIFT = 600
+def _pair_step(tr, w):
+    """`_gram_recurrence`'s step for <x, y>: the mode's `_gram_step` on ``w``."""
+    return partial(_gram_step, tr, w)
 
 
-def _size(w: np.ndarray) -> float:
-    """Sum of |entries| of a carry, NaN or inf when any entry is.
+def _gram_recurrence(comm, modes, step) -> tuple:
+    """The one Gram recurrence of `inner_product` and both Gram norms, as
+    ``(mantissa, exponent)``, worth mantissa * 2**exponent.
 
-    BLAS dasum through scipy keeps the GIL; numpy's loops over a carry this
-    large release it, and at P = 2 each such hand-off to the other rank
-    thread cost more than the check itself.
+    ``modes`` yields each mode's slabs, and ``step(w)`` returns the share
+    function of the mode that carry ``w`` enters (`_pair_step` or
+    `_factor_step`); `_next_carry` calls it on those slabs and keeps the
+    carry in range.  One allreduce per mode (two for a mode `_next_carry`
+    recomputes, and none after a mode whose Gram is zero).
     """
-    return float(dasum(w.ravel()))
-
-
-def _next_carry(comm, step, slabs) -> tuple:
-    """Allreduce one mode's ``step(*slabs)``; returns ``(carry, k)``, the
-    mode's true Gram being carry * 2**k, or ``(None, 0)`` when that Gram is
-    exactly zero, and so is the whole recurrence's value.
-
-    The carry is replicated after the allreduce, so every rank takes the
-    same branch and stops at the same mode.  In-window carries come back
-    untouched (k = 0).  Powers of four keep a Cholesky factor of the carry
-    an exact power-of-two multiple of the unscaled one, so the rescaled
-    recurrences round exactly as the plain ones do wherever those stay
-    representable.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # redone below if so
-        w = comm.allreduce_sum(step(*slabs))
-    top = _size(w)
-    if _CARRY_LO <= top <= _CARRY_HI:
-        return w, 0
-    k = 0
-    if not _CARRY_LOST <= top < np.inf:
-        shift = _CARRY_SHIFT if top < 1.0 else -_CARRY_SHIFT  # NaN scales down
-        w = comm.allreduce_sum(step(*(np.ldexp(s, shift) for s in slabs)))
-        top = _size(w)
-        k = -2 * shift
-    if top == 0.0:
-        return None, 0
-    if not top < np.inf:  # non-finite input
-        return w, k
-    j = (frexp(top)[1] + 1) // 2  # top / 4^j lies in [1/4, 1)
-    return np.ldexp(w, -2 * j), k + 2 * j
-
-
-def _gram_inner(xs, ys, comm) -> tuple:
-    """<x, y> as ``(mantissa, exponent)``, worth mantissa * 2**exponent.
-
-    One allreduce per mode (two for a mode `_next_carry` recomputes, and
-    none after a mode whose Gram is zero).
-    """
-    tr = comm.trace
     w, e = np.ones((1, 1), order="F"), 0
-    for a, b in zip(xs, ys):
-        w, k = _next_carry(comm, partial(_gram_step, tr, w), (a, b))
+    for slabs in modes:
+        w, k = _next_carry(comm, step(w), slabs)
         if w is None:
             return 0.0, 0
         e += k
@@ -250,7 +206,8 @@ def inner_product(x, y) -> float:
     non-finite one raises `NumericError`.
     """
     xs, ys, dims, xr, yr, comm = _check_pair(x, y)
-    m, e = _gram_inner(xs, ys, comm or SerialComm())
+    comm = comm or SerialComm()
+    m, e = _gram_recurrence(comm, zip(xs, ys), partial(_pair_step, comm.trace))
     with np.errstate(over="ignore", under="ignore"):
         val = float(np.ldexp(m, e))
     if not np.isfinite(val) or (val == 0.0 and m != 0.0):
@@ -262,10 +219,10 @@ class _IndefiniteGram(Exception):
     pass
 
 
-def _pivoted_cholesky(w: np.ndarray):
-    """Rank-revealing P L L^T P^T of the SPSD matrix held in the lower
-    triangle of ``w`` (its upper triangle is ignored); raises on
-    indefiniteness.
+def _pivoted_cholesky(w: np.ndarray) -> np.ndarray:
+    """Rank-revealing factor P L (r x rank) with P L L^T P^T equal to the
+    SPSD matrix held in the lower triangle of ``w`` (its upper triangle is
+    ignored); raises on indefiniteness.
 
     dpstrf reads only the lower triangle and leaves the upper one as it
     found it, so on a lower-triangular copy of ``w`` its first ``rank``
@@ -289,7 +246,7 @@ def _pivoted_cholesky(w: np.ndarray):
     resid -= wl
     if np.linalg.norm(resid) > _GRAM_RESID_RTOL * np.linalg.norm(wl):
         raise _IndefiniteGram(f"Gram carry is not PSD (residual {np.linalg.norm(resid):.3e})")
-    return lfac, perm, int(rank)
+    return pl
 
 
 def _cholesky_flops(n: int, k: int) -> int:
@@ -322,10 +279,8 @@ def _gram_factor(w: np.ndarray) -> tuple:
         return c, True, _cholesky_flops(n, n)
     if info < 0:
         raise NumericError(f"dpotrf failed with info={info}")
-    lfac, perm, rank = _pivoted_cholesky(w)
-    pl = np.empty_like(lfac)
-    pl[perm] = lfac
-    return pl, False, _cholesky_flops(n, info - 1) + _cholesky_flops(n, rank)
+    pl = _pivoted_cholesky(w)
+    return pl, False, _cholesky_flops(n, info - 1) + _cholesky_flops(n, pl.shape[1])
 
 
 def _sym_step(tr, f, triangular, a) -> np.ndarray:
@@ -352,35 +307,18 @@ def _sym_step(tr, f, triangular, a) -> np.ndarray:
     return wn
 
 
-def _sym_norm(slabs, comm) -> tuple:
-    """||x||^2 by the Gram recurrence, as ``(mantissa, exponent)`` like
-    `_gram_inner`: one Cholesky (`_gram_factor`) + trmm + syrk per mode.
+def _factor_step(tr, w):
+    """`_gram_recurrence`'s step for ||x||^2: factor the carry once
+    (`_gram_factor`), charge its flops, and return the mode's `_sym_step`,
+    so a mode that `_next_carry` recomputes still factors once.
 
     Halves the inner-product flops (2 N I R^3 / P) by propagating a
     triangular factor of the carry instead of the full operand pair.  The
     carry lives in its lower triangle, which is all the factorizations read.
     """
-    tr = comm.trace
-    w, e = np.ones((1, 1), order="F"), 0
-    for a in slabs:
-        f, triangular, flops = _gram_factor(w)
-        tr.add_flops(float(flops))
-        w, k = _next_carry(comm, partial(_sym_step, tr, f, triangular), (a,))
-        if w is None:
-            return 0.0, 0
-        e += k
-    return float(w[0, 0]), e
-
-
-def _sqrt_scaled(m: float, e: int) -> float:
-    """sqrt(m * 2^e) for an even e (the recurrences rescale by powers of
-    four), clamping a roundoff-negative m to 0; raises `NumericError` if the
-    result is not a finite float64."""
-    with np.errstate(over="ignore"):
-        val = float(np.ldexp(sqrt(max(m, 0.0)), e // 2))
-    if not np.isfinite(val):
-        raise NumericError(f"the tensor's norm is not finite in float64: {val}")
-    return val
+    f, triangular, flops = _gram_factor(w)
+    tr.add_flops(float(flops))
+    return partial(_sym_step, tr, f, triangular)
 
 
 def norm(x, method: str = "innerprod", return_info: bool = False):
@@ -403,20 +341,22 @@ def norm(x, method: str = "innerprod", return_info: bool = False):
         raise ContractError(f"unknown norm method {method!r}; pick from {NORM_METHODS}")
     info = {"method": method, "fallback": False}
     slabs, dims, ranks, comm = _parts(x)
-    if method == "ortho":
-        dt = x if isinstance(x, DistTTTensor) else serial_tt(x)
-        val = _end_core_norm(dt.comm, _qr_sweep(dt, _BACKWARD, implicit=True)[0][0])
-        return (val, info) if return_info else val
     comm = comm or SerialComm()
-    if method == "innerprod":
-        val = _sqrt_scaled(*_gram_inner(slabs, slabs, comm))
+    tr = comm.trace
+    pair = partial(_pair_step, tr)
+    if method == "ortho":
+        # _qr_sweep writes nothing to its input, so sequential cores need no copy
+        dt = DistTTTensor(comm, dims, ranks, slabs)
+        val = _end_core_norm(comm, _qr_sweep(dt, _BACKWARD, implicit=True)[0][0])
+    elif method == "innerprod":
+        val = _sqrt_scaled(*_gram_recurrence(comm, zip(slabs, slabs), pair))
     else:
         try:
-            val = _sqrt_scaled(*_sym_norm(slabs, comm))
+            val = _sqrt_scaled(*_gram_recurrence(comm, zip(slabs), partial(_factor_step, tr)))
         except _IndefiniteGram as e:
             warnings.warn(f"innerprod_sym fell back to innerprod: {e}", stacklevel=2)
             info["fallback"] = True
-            val = _sqrt_scaled(*_gram_inner(slabs, slabs, comm))
+            val = _sqrt_scaled(*_gram_recurrence(comm, zip(slabs, slabs), pair))
     return (val, info) if return_info else val
 
 

@@ -22,9 +22,10 @@ truncates, a 1/8 saving at L = R/2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import frexp, sqrt
 
 import numpy as np
+from scipy.linalg.blas import dasum
 
 from .comm import Communicator, SerialComm
 from .core import TTCore, TTTensor, fill_random_slab, _check_chain
@@ -276,32 +277,77 @@ def _check_ranks_agree(comm: Communicator, ranks: list) -> None:
             )
 
 
-#: Sums of squares below this may have lost digits to underflow: tiny / eps.
-_SQ_SAFE_MIN = 2.0**-970
+#: A Gram carry whose size (`_size`) leaves [2^-500, 2^500] is brought back
+#: to [1/4, 1) by an exact power of four, which the recurrence keeps as an
+#: integer exponent; the next mode then has 2^500 of headroom either way.
+#: A carry that overflowed, or whose size lies below 2^-969 where its
+#: products may have lost digits to underflow (zero included), is first
+#: recomputed once from the mode's slabs scaled by 2^-+600.
+_CARRY_LO, _CARRY_HI = 2.0**-500, 2.0**500
+_CARRY_LOST = 2.0**-969
+_CARRY_SHIFT = 600
+
+
+def _size(w: np.ndarray) -> float:
+    """Sum of |entries| of a carry, NaN or inf when any entry is.
+
+    BLAS dasum through scipy keeps the GIL; numpy's loops over a carry this
+    large release it, and at P = 2 each such hand-off to the other rank
+    thread cost more than the check itself.
+    """
+    return float(dasum(w.ravel()))
+
+
+def _next_carry(comm: Communicator, step, slabs) -> tuple:
+    """Allreduce one mode's ``step(*slabs)``; returns ``(carry, k)``, the
+    mode's true Gram being carry * 2**k, or ``(None, 0)`` when that Gram is
+    exactly zero, and so is the whole recurrence's value.
+
+    The one range rescue of every norm and inner product: the Gram
+    recurrences in `ttpar.ops` take it once per mode, and `_end_core_norm`
+    once, on its end core's sum of squares.  The carry is replicated after
+    the allreduce, so every rank takes the same branch and stops at the
+    same mode.  In-window carries come back untouched (k = 0).  Powers of
+    four keep a Cholesky factor of the carry an exact power-of-two multiple
+    of the unscaled one, so the rescaled recurrences round exactly as the
+    plain ones do wherever those stay representable.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # redone below if so
+        w = comm.allreduce_sum(step(*slabs))
+    top = _size(w)
+    if _CARRY_LO <= top <= _CARRY_HI:
+        return w, 0
+    k = 0
+    if not _CARRY_LOST <= top < np.inf:
+        shift = _CARRY_SHIFT if top < 1.0 else -_CARRY_SHIFT  # NaN scales down
+        w = comm.allreduce_sum(step(*(np.ldexp(s, shift) for s in slabs)))
+        top = _size(w)
+        k = -2 * shift
+    if top == 0.0:
+        return None, 0
+    if not top < np.inf:  # non-finite input
+        return w, k
+    j = (frexp(top)[1] + 1) // 2  # top / 4^j lies in [1/4, 1)
+    return np.ldexp(w, -2 * j), k + 2 * j
+
+
+def _sqrt_scaled(m: float, e: int) -> float:
+    """sqrt(m * 2^e) for an even e (the recurrences rescale by powers of
+    four), clamping a roundoff-negative m to 0; raises `NumericError` if the
+    result is not a finite float64."""
+    with np.errstate(over="ignore"):
+        val = float(np.ldexp(sqrt(max(m, 0.0)), e // 2))
+    if not np.isfinite(val):
+        raise NumericError(f"the tensor's norm is not finite in float64: {val}")
+    return val
 
 
 def _end_core_norm(comm: Communicator, end: np.ndarray) -> float:
-    """Norm of a chain whose other cores are orthonormal, off its end core.
-
-    One allreduce of the local sums of squares.  Only when that sum
-    overflowed or lies below `_SQ_SAFE_MIN` (norms outside about
-    2^-485..2^512, zero included) is it redone once, on entries scaled by
-    2^-600 or 2^600; every rank sees the same replicated sum, so all take
-    that branch together.  Raises `NumericError` if the norm itself is not
-    finite.
-    """
-    v = end.ravel()
-    with np.errstate(over="ignore"):
-        total = float(comm.allreduce_sum(np.array([np.dot(v, v)]))[0])
-    shift = 0
-    if not _SQ_SAFE_MIN <= total < np.inf:
-        shift = -600 if total > 1.0 else 600
-        w = np.ldexp(v, shift)
-        total = float(comm.allreduce_sum(np.array([np.dot(w, w)]))[0])
-    norm_x = float(np.ldexp(sqrt(total), -shift))
-    if not np.isfinite(norm_x):
-        raise NumericError(f"the tensor's norm is not finite in float64: {norm_x}")
-    return norm_x
+    """Norm of a chain whose other cores are orthonormal, off its end core:
+    a one-mode Gram recurrence whose 1 x 1 carry is the end core's sum of
+    squares (one allreduce, two when `_next_carry` rescues its range)."""
+    w, k = _next_carry(comm, lambda v: np.array([[np.dot(v, v)]]), (end.ravel(),))
+    return _sqrt_scaled(0.0 if w is None else float(w[0, 0]), k)
 
 
 def orthonormalize(dt: DistTTTensor, direction: str = "right") -> DistTTTensor:

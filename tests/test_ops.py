@@ -22,6 +22,7 @@ from ttpar import (
     run_spmd,
     save_operator,
     scale,
+    serial_tt,
 )
 from ttpar.errors import CapacityError, ContractError, NumericError, ShapeError
 from ttpar import ops
@@ -298,10 +299,8 @@ def test_pivoted_cholesky_reconstructs_psd():
     rng = np.random.default_rng(22)
     a = rng.standard_normal((6, 4))
     w = a @ a.T  # rank 4 PSD
-    lfac, perm, rank = _pivoted_cholesky(w)
-    assert rank == 4
-    pl = np.empty_like(lfac)
-    pl[perm] = lfac
+    pl = _pivoted_cholesky(w)  # P L, one column per revealed rank
+    assert pl.shape == (6, 4)
     assert np.allclose(pl @ pl.T, w, atol=1e-12)
 
 
@@ -512,6 +511,20 @@ def test_ortho_norm_needs_no_q(nranks, c):
         assert got[:4] == want[:4]
         assert got[4] == 0.0 < want[4]
         assert got[0] == pytest.approx(c * np.linalg.norm(dense(x)), rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-303, 1e170])
+def test_sequential_ortho_norm_leaves_its_cores_alone(c):
+    """A sequential tensor's ortho norm sweeps its own cores, not a copy: they
+    stay bitwise unchanged, and the value is the one-rank distributed
+    tensor's bit for bit."""
+    x0 = random_tt((6, 5, 4, 7), (1, 3, 4, 3, 1), seed=3)
+    x = scale(x0, c)
+    before = [core.array.tobytes() for core in x.cores]
+    val = norm(x, "ortho")
+    assert [core.array.tobytes() for core in x.cores] == before
+    assert val == norm(serial_tt(x), "ortho")
+    assert val == pytest.approx(c * np.linalg.norm(dense(x0)), rel=1e-12)
 
 
 def test_gram_recurrences_stop_at_a_zero_mode():

@@ -1,6 +1,6 @@
 """Property-based tests: `local_qr` on both kernel routes, any shape and
 magnitude; the routed leaf's Q built for a triangle; the vectorized Philox
-key derivation against numpy's SeedSequence; the two Gram norms and the
+key derivation against numpy's SeedSequence; the three norms and the
 Hadamard product across P."""
 
 import numpy as np
@@ -152,18 +152,21 @@ def _gram_case(dims, ranks, c, doubled, nranks):
 @example(_gram_case((6, 5, 4, 3), (1, 5, 5, 3, 1), 1e300, True, 3))
 @example(_gram_case((2, 6, 1, 5), (1, 2, 5, 1, 1), 1e-170, False, 4))
 def test_sym_norm_agrees_with_innerprod_across_p(case):
-    """innerprod_sym's value is innerprod's to 1e-11 relative at any P, never
-    falls back, and is a finite positive number for a nonzero tensor."""
+    """innerprod_sym's and ortho's values are innerprod's to 1e-11 relative
+    at any P, innerprod_sym never falls back, and both are finite positive
+    numbers for a nonzero tensor."""
     x, nranks = case
 
     def body(comm):
         dx = distribute(x, comm, allow_idle=True)
-        return norm(dx, "innerprod_sym", return_info=True), norm(dx, "innerprod")
+        return (norm(dx, "innerprod_sym", return_info=True), norm(dx, "ortho"),
+                norm(dx, "innerprod"))
 
-    for (val, info), want in run_spmd(nranks, body).results:
+    for (val, info), ortho, want in run_spmd(nranks, body).results:
         assert not info["fallback"]
-        assert np.isfinite(val) and val > 0.0
-        assert val == pytest.approx(want, rel=1e-11)
+        for v in (val, ortho):
+            assert np.isfinite(v) and v > 0.0
+            assert v == pytest.approx(want, rel=1e-11)
 
 
 def _kron_core(a, b):
