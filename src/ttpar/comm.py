@@ -26,7 +26,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import ceil, log2
 
@@ -80,15 +79,9 @@ class Trace:
         self.seconds[self._stack[-1]] += now - self._mark
         self._mark = now
 
-    @contextmanager
-    def phase(self, name: str):
-        self._tick()
-        self._stack.append(name)
-        try:
-            yield self
-        finally:
-            self._tick()
-            self._stack.pop()
+    def phase(self, name: str) -> "_Phase":
+        """A context manager that charges its block to phase ``name``."""
+        return _Phase(self, name)
 
     def freeze(self) -> None:
         """Close the open interval so `seconds` reflects work done so far."""
@@ -119,6 +112,28 @@ class Trace:
             )
             for ph in phases
         ]
+
+
+class _Phase:
+    """`Trace.phase`'s context: a slotted class, which a sweep enters several
+    times per step at a fraction of a generator context manager's cost.  An
+    exception leaving the block still closes the phase."""
+
+    __slots__ = ("trace", "name")
+
+    def __init__(self, trace: Trace, name: str):
+        self.trace, self.name = trace, name
+
+    def __enter__(self) -> Trace:
+        tr = self.trace
+        tr._tick()
+        tr._stack.append(self.name)
+        return tr
+
+    def __exit__(self, *exc) -> None:
+        tr = self.trace
+        tr._tick()
+        tr._stack.pop()
 
 
 def _as_payload(x) -> np.ndarray:

@@ -147,11 +147,16 @@ def estimate(op_kind, N, I, R, P=1, L=None, m=None, b=None) -> CostReport:
     ])
 
 
+def _rank_chain(ranks, n_modes: int) -> tuple:
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != n_modes + 1 or ranks[0] != 1 or ranks[-1] != 1:
+        raise ContractError(f"bad rank chain {ranks} for {n_modes} modes")
+    return ranks
+
+
 def _chain_check(dims, ranks, out_ranks):
     dims = tuple(int(d) for d in dims)
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != len(dims) + 1 or ranks[0] != 1 or ranks[-1] != 1:
-        raise ContractError(f"bad rank chain {ranks} for {len(dims)} modes")
+    ranks = _rank_chain(ranks, len(dims))
     if out_ranks is None:
         out_ranks = ranks
     else:
@@ -164,7 +169,7 @@ def _chain_check(dims, ranks, out_ranks):
 
 
 def chain_estimate(op_kind, dims, ranks, P=1, out_ranks=None,
-                   variant="LRLI") -> CostReport:
+                   variant="LRLI", other_ranks=None) -> CostReport:
     """Leading-term cost on an actual rank chain, phase-aligned with the
     instrumented sweeps.
 
@@ -172,11 +177,15 @@ def chain_estimate(op_kind, dims, ranks, P=1, out_ranks=None,
     post-truncation chain for ``rounding`` (defaults to no truncation).
     The rounding ``variant`` matters because explicit sweeps form Q on wide
     panels while implicit ones apply stored factors to narrow carries.
+    ``other_ranks`` is the chain of ``hadamard``'s second operand (defaults
+    to ``ranks``): one flop per entry of the product, whose bond ranks are
+    the products of the two chains'.
     """
     kind = _canon(op_kind)
     if P < 1:
         raise ContractError("P must be positive")
     dims, ranks, out = _chain_check(dims, ranks, out_ranks)
+    other = ranks if other_ranks is None else _rank_chain(other_ranks, len(dims))
     N = len(dims)
     lg = _log2_ceil(P)
     f = {"TSQR": 0.0, "AppQ": 0.0, "Other": 0.0}
@@ -186,7 +195,7 @@ def chain_estimate(op_kind, dims, ranks, P=1, out_ranks=None,
         pass
     elif kind == "hadamard":
         f["Other"] = sum(
-            d * ranks[n] ** 2 * ranks[n + 1] ** 2 for n, d in enumerate(dims)
+            d * ranks[n] * other[n] * ranks[n + 1] * other[n + 1] for n, d in enumerate(dims)
         ) / P
     elif kind in ("inner_product", "norm"):
         scale = 2.0 if kind == "inner_product" else 1.0

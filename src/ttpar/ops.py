@@ -346,7 +346,7 @@ def norm(x, method: str = "innerprod", return_info: bool = False):
     pair = partial(_pair_step, tr)
     if method == "ortho":
         # _qr_sweep writes nothing to its input, so sequential cores need no copy
-        dt = DistTTTensor(comm, dims, ranks, slabs)
+        dt = x if isinstance(x, DistTTTensor) else DistTTTensor(comm, dims, ranks, slabs)
         val = _end_core_norm(comm, _qr_sweep(dt, _BACKWARD, implicit=True)[0][0])
     elif method == "innerprod":
         val = _sqrt_scaled(*_gram_recurrence(comm, zip(slabs, slabs), pair))

@@ -47,6 +47,7 @@ enough (`_kernels.GIL_FREE_FLOPS`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,19 +96,19 @@ def _flops_wy_build(m: int, b: int, nb: int) -> float:
 class LocalQR:
     """Packed Householder QR of one block, zero-padded to at least b rows.
 
-    ``qr``/``tau`` are the padded block's reflectors and R in LAPACK dgeqrf's
-    layout: dgeqrf's own outputs, or on tall panels (`_wy_route`) dgeqrt's
-    factored block with tau taken from the diagonals of its T factor.  ``t``
-    is that T (None on dgeqrf blocks); where it is kept, `apply` runs
-    dgemqrt on it instead of dormqr, and `explicit_q` builds Q for a
-    triangle from it instead of dorgqr.  ``signs``
+    ``qr`` is the padded block's reflectors and R in LAPACK dgeqrf's layout:
+    dgeqrf's own output, or on tall panels (`_wy_route`) dgeqrt's factored
+    block.  ``t`` is that T (None on dgeqrf blocks); where it is kept, `apply`
+    runs dgemqrt on it instead of dormqr, and `explicit_q` builds Q for a
+    triangle from it instead of dorgqr.  ``tau`` is dgeqrf's, for dormqr and
+    dorgqr, and None where T is kept (its tau are T's diagonals).  ``signs``
     flips reflector columns so the stored R has a nonnegative diagonal;
     ``rows`` is the original (unpadded) row count, which may be anything
     >= 0 -- zero-row blocks contribute R = 0.
     """
 
     qr: np.ndarray
-    tau: np.ndarray
+    tau: np.ndarray | None
     signs: np.ndarray
     rows: int
     t: np.ndarray | None = None
@@ -117,7 +118,12 @@ class LocalQR:
         return self.qr.shape[1]
 
     def r(self) -> np.ndarray:
-        return np.triu(self.qr[: self.b, : self.b]) * self.signs[:, None]
+        """The sign-fixed R: ``np.triu`` of the top b x b block times the signs,
+        the entries below the diagonal zeros of their row's sign."""
+        b = self.b
+        r = np.where(_strict_lower(b), 0.0, self.qr[:b, :b])
+        np.multiply(r, self.signs[:, None], out=r)
+        return r
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """``Q @ [c; 0]`` for a b-row block ``c``, trimmed to `rows` rows."""
@@ -125,7 +131,7 @@ class LocalQR:
         if c.ndim != 2 or c.shape[0] != self.b:
             raise ShapeError(f"expected a ({self.b}, k) block, got {c.shape}")
         x = np.zeros((self.qr.shape[0], c.shape[1]), order="F")
-        x[: self.b] = self.signs[:, None] * c
+        np.multiply(self.signs[:, None], c, out=x[: self.b])
         if self.t is not None:
             info = _kernels.dgemqrt(self.qr, self.t, x)
         else:
@@ -160,7 +166,7 @@ class LocalQR:
             if c.shape != (b, b):
                 raise ShapeError(f"expected a ({b}, {b}) triangle, got {c.shape}")
         if self.t is None:
-            q, _, info = lapack.dorgqr(self.qr.copy(order="F"), self.tau)
+            q, _, info = lapack.dorgqr(self.qr, self.tau)  # scipy forms Q in a copy
             if info != 0:
                 raise NumericError(f"forming Q failed with info={info}")
             q = q[: self.rows] * self.signs[None, :]
@@ -174,7 +180,8 @@ class LocalQR:
             info = _kernels.dgemqrt(v, t, q, j, ib, col=j + ib) if j + ib < b else 0
             if info != 0:
                 raise NumericError(f"forming Q failed with info={info}")
-            v1, c1 = v[j : j + ib, j : j + ib], np.triu(q[j : j + ib, j : j + ib])
+            v1 = v[j : j + ib, j : j + ib]
+            c1 = np.where(_strict_lower(ib), 0.0, q[j : j + ib, j : j + ib])  # np.triu
             w = blas.dtrmm(1.0, v1, c1, lower=1, trans_a=1, diag=1)
             w = blas.dtrmm(1.0, t[:ib, j : j + ib], w, overwrite_b=1)
             q[j : j + ib, j : j + ib] = c1 - blas.dtrmm(1.0, v1, w, lower=1, diag=1)
@@ -231,12 +238,14 @@ def _wy_route(m: int, b: int) -> bool:
     return b >= 48 and m >= 4 * b
 
 
-def local_qr(block) -> tuple:
+def local_qr(block, overwrite_a: bool = False) -> tuple:
     """Sign-fixed Householder QR of a local block.
 
     Returns ``(LocalQR, R)`` with R upper triangular, b x b, nonnegative
     diagonal.  Blocks with fewer rows than columns (including zero rows) are
-    padded with zero rows so R is always full size.
+    padded with zero rows so R is always full size.  With ``overwrite_a`` a
+    writable F-ordered float64 block of at least b rows is factored in place
+    and becomes the factor's ``qr``; any other block is copied first.
     """
     a = np.asarray(block, dtype=np.float64)
     if a.ndim != 2:
@@ -247,16 +256,17 @@ def local_qr(block) -> tuple:
     if not np.isfinite(a).all():
         raise NumericError("non-finite entries in QR input")
     if m < b:
-        pad = np.zeros((b, b), order="F")
-        pad[:m] = a
-        af = pad
+        af = np.zeros((b, b), order="F")
+        af[:m] = a
+    elif overwrite_a and a.flags.f_contiguous and a.flags.writeable:
+        af = a
     else:
         af = np.array(a, order="F", copy=True)
     if _wy_route(*af.shape):
         t, info = _kernels.dgeqrt(af, _WY_NB)
         if info != 0:
             raise NumericError(f"dgeqrt failed with info={info}")
-        qr, tau = af, t[np.arange(b) % t.shape[0], np.arange(b)]
+        qr, tau = af, None
     else:
         t = None
         qr, tau, _, info = lapack.dgeqrf(af, overwrite_a=1)
@@ -300,7 +310,8 @@ class TSQRFactor:
         return self.leaf.b
 
 
-def _schedule(variant: str, P: int, p: int) -> list:
+@functools.cache
+def _schedule(variant: str, P: int, p: int) -> tuple:
     """Rank p's factor exchanges in order, as ``(level, peer, role)``.
 
     ``pair``: both ranks swap R and factor the same stacked node (butterfly
@@ -309,20 +320,21 @@ def _schedule(variant: str, P: int, p: int) -> list:
     ``parent``: ship R to the peer and stop.
     """
     if variant == "binomial":
-        steps = []
+        steps = ()
         for level in range((P - 1).bit_length()):  # ceil(log2 P) levels
             step = 1 << level
             if p & step:
-                return steps + [(level, p - step, "parent")]
+                return steps + ((level, p - step, "parent"),)
             if p + step < P:
-                steps.append((level, p + step, "child"))
+                steps += ((level, p + step, "child"),)
         return steps
     floor_log = P.bit_length() - 1
     p_reg = 1 << floor_log
     if p >= p_reg:
-        return [(floor_log, p - p_reg, "parent")]
-    steps = [(floor_log, p + p_reg, "child")] if p + p_reg < P else []
-    return steps + [(level, p ^ (1 << level), "pair") for level in range(floor_log - 1, -1, -1)]
+        return ((floor_log, p - p_reg, "parent"),)
+    steps = ((floor_log, p + p_reg, "child"),) if p + p_reg < P else ()
+    return steps + tuple((level, p ^ (1 << level), "pair")
+                         for level in range(floor_log - 1, -1, -1))
 
 
 def tsqr_factor(local_block, comm: Communicator, variant: str = "butterfly"):
@@ -346,7 +358,9 @@ def tsqr_factor(local_block, comm: Communicator, variant: str = "butterfly"):
             break
         r_peer = comm.sendrecv(peer, r if role == "pair" else np.zeros(0))
         top = role == "child" or p < peer
-        fac, r = local_qr(np.vstack([r, r_peer] if top else [r_peer, r]))
+        node = np.empty((2 * b, b), order="F")  # the stacked triangles, factored in place
+        node[:b], node[b:] = (r, r_peer) if top else (r_peer, r)
+        fac, r = local_qr(node, overwrite_a=True)
         comm.trace.add_flops(_flops_geqrf(2 * b, b))
         tree.append(_TreeNode(level, top, fac, peer if role == "child" else None))
     star = None
@@ -396,7 +410,7 @@ def _apply_leaf(leaf: LocalQR, block: np.ndarray, comm) -> np.ndarray:
     m_pad = leaf.qr.shape[0]
     b = leaf.b
     if _is_upper_triangular(block):
-        c = None if np.array_equal(block, np.eye(b)) else block
+        c = None if _is_identity(block) else block
         out = leaf.explicit_q(c)
         if comm is not None:
             if leaf.t is not None:
@@ -412,10 +426,34 @@ def _apply_leaf(leaf: LocalQR, block: np.ndarray, comm) -> np.ndarray:
     return out
 
 
+# a sweep meets a few bond ranks; the bound keeps b^2-sized entries few
+@functools.lru_cache(maxsize=8)
+def _strict_lower(b: int) -> np.ndarray:
+    """The read-only b x b mask of entries below the diagonal (``np.tri``'s)."""
+    mask = np.tri(b, b, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(b: int) -> np.ndarray:
+    eye = np.eye(b)
+    eye.flags.writeable = False
+    return eye
+
+
 def _is_upper_triangular(c: np.ndarray) -> bool:
+    """``not np.tril(c, -1).any()`` for a square c: no nonzero (NaN included)
+    below the diagonal."""
     if c.shape[0] != c.shape[1]:
         return False
-    return not np.tril(c, -1).any()
+    return not c[_strict_lower(c.shape[0])].any()
+
+
+def _is_identity(c: np.ndarray) -> bool:
+    """``np.array_equal(c, np.eye(len(c)))`` against a cached identity."""
+    eye = _identity(c.shape[0])
+    return c.shape == eye.shape and bool((c == eye).all())
 
 
 def message_trace(run: SpmdRun):

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -258,6 +259,24 @@ def test_trace_phases_and_exclusive_seconds():
     assert tr.total("flops") == 113
     total = tr.total("seconds")
     assert total >= 0 and abs(sum(s for _, s, *_ in tr.rows()) - total) < 1e-12
+
+
+def test_trace_phase_closes_on_exception():
+    """A phase left by an exception still charges its seconds and pops, so
+    later counters key by the enclosing phase again."""
+    tr = Trace()
+    with pytest.raises(ZeroDivisionError):
+        with tr.phase("TSQR"):
+            tr.add_flops(3)
+            time.sleep(0.002)
+            1 / 0
+    tr.add_flops(1)
+    with tr.phase("AppQ") as got:
+        assert got is tr
+    tr.freeze()
+    assert tr.flops == {"TSQR": 3, "Other": 1}
+    assert tr.seconds["TSQR"] >= 0.002
+    assert tr._stack == ["Other"]
 
 
 def test_cost_model_params():

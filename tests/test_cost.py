@@ -143,6 +143,23 @@ def test_chain_matches_counters_exactly_for_gemm_ops():
     assert got == chain_estimate("hadamard", dims, ranks).flops
 
 
+def test_hadamard_chain_takes_the_second_operands_ranks():
+    """A product with a rank-1 operand, as the model-1 benchmark multiplies,
+    is predicted exactly from both chains; a bad second chain is refused."""
+    dims = (7, 5, 6)
+    x, y = random_tt(dims, (1, 50, 50, 1), seed=3), random_tt(dims, (1, 1, 1, 1), seed=4)
+    dt = serial_tt(x)
+    dt.comm.trace.reset()
+    hadamard(dt, distribute(y, dt.comm))
+    got = dt.comm.trace.total("flops")
+    assert got == chain_estimate("hadamard", dims, x.ranks, other_ranks=y.ranks).flops
+    assert got == 7 * 50 + 5 * 50 * 50 + 6 * 50
+    assert chain_estimate("hadamard", dims, x.ranks).flops == 7 * 2500 + 5 * 50**4 + 6 * 2500
+    for bad in ((1, 2, 1), (2, 1, 1, 1), (1, 1, 1, 3)):
+        with pytest.raises(ContractError):
+            chain_estimate("hadamard", dims, x.ranks, other_ranks=bad)
+
+
 def test_chain_flops_are_split_invariant():
     # total arithmetic must not depend on P; only the per-rank share does
     dims, ranks = (8, 12, 8), (1, 4, 4, 1)

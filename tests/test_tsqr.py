@@ -201,12 +201,69 @@ def test_blocked_leaf_qr(name):
     assert np.allclose(fac.apply(r), a, rtol=1e-12, atol=1e-13 * scale)
     q = fac.explicit_q()
     assert np.allclose(q.T @ q, np.eye(b), atol=1e-12)
-    # the Q built blockwise from T is dorgqr's to roundoff
-    q_ref, _, info = lapack.dorgqr(fac.qr, fac.tau)
+    # the Q built blockwise from T is dorgqr's to roundoff; a routed leaf
+    # keeps no tau, dgeqrt's are the diagonals T[j % nb, j]
+    assert fac.tau is None
+    tau = fac.t[np.arange(b) % fac.t.shape[0], np.arange(b)]
+    q_ref, _, info = lapack.dorgqr(fac.qr, tau)
     assert info == 0 and np.abs(q - q_ref * fac.signs).max() <= 1e-15
     if name == "zero":
-        assert not fac.tau.any() and not r.any()
+        assert not tau.any() and not r.any()
         assert np.array_equal(q, np.eye(m, b))
+
+
+def _r_blocks():
+    """Blocks for each way `local_qr` builds R, all with negative pivots
+    (zeros of negative sign below them) except the zero-row block."""
+    rng = np.random.default_rng(27)
+    return {"routed": rng.standard_normal((400, 50)), "dgeqrf": rng.standard_normal((90, 30)),
+            "padded": rng.standard_normal((5, 12)), "zero rows": np.zeros((0, 6)),
+            "node": np.vstack([np.triu(rng.standard_normal((8, 8)))] * 2)}
+
+
+@pytest.mark.parametrize("name", list(_r_blocks()))
+def test_r_is_triu_times_signs_bytewise(name):
+    """`LocalQR.r` with its cached mask is ``np.triu(qr) * signs`` byte for
+    byte, signed zeros and memory layout included."""
+    fac, r = local_qr(_r_blocks()[name])
+    b = fac.b
+    want = np.triu(fac.qr[:b, :b]) * fac.signs[:, None]
+    for got in (r, fac.r()):
+        assert got.tobytes() == want.tobytes()
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+            want.flags.c_contiguous, want.flags.f_contiguous)
+    if name != "zero rows":
+        assert (fac.signs < 0).any() and (np.signbit(r) & (r == 0)).any()
+
+
+def _square_blocks():
+    rng = np.random.default_rng(28)
+    dense = rng.standard_normal((6, 6))
+    tiny = np.eye(6)
+    tiny[4, 1] = 1e-300
+    negzero = np.eye(6)
+    negzero[0, 5] = negzero[5, 0] = -0.0
+    offdiag = np.eye(6)
+    offdiag[2, 2] = 1.0 + 2.0**-52
+    upper_nan = np.eye(6)
+    upper_nan[1, 3] = np.nan
+    lower_nan = np.eye(6)
+    lower_nan[3, 1] = np.nan
+    return {"dense": dense, "triangular": np.triu(dense), "identity": np.eye(6),
+            "identity 1x1": np.eye(1), "zero": np.zeros((6, 6)), "tiny below": tiny,
+            "signed zeros": negzero, "near identity": offdiag, "nan above": upper_nan,
+            "nan below": lower_nan, "wide": np.eye(4, 6), "tall": np.eye(6, 4),
+            "F-ordered": np.asfortranarray(np.triu(dense))}
+
+
+@pytest.mark.parametrize("name", list(_square_blocks()))
+def test_triangle_and_identity_tests_match_numpy(name):
+    """The leaf's cached-mask tests agree with ``np.tril(c, -1).any()`` and
+    ``np.array_equal(c, np.eye(b))``."""
+    c = _square_blocks()[name]
+    square = c.shape[0] == c.shape[1]
+    assert tsqr._is_upper_triangular(c) == (square and not np.tril(c, -1).any())
+    assert tsqr._is_identity(c) == np.array_equal(c, np.eye(c.shape[0]))
 
 
 @pytest.mark.parametrize("m,b,nb", [(10000, 100, 32), (5000, 50, 32), (300, 64, 32),
