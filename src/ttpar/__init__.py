@@ -21,7 +21,6 @@ from .core import (
     entry,
     full,
     load_tt,
-    mode2_multiply,
     random_tt,
     save_tt,
     verify_quadprod,
@@ -77,7 +76,6 @@ __all__ = [
     "inner_product",
     "load_operator",
     "load_tt",
-    "mode2_multiply",
     "norm",
     "orthonormalize",
     "random_tt",

@@ -18,8 +18,8 @@ index (fastest) with the mode index; columns of ``H`` pair the mode index
 
 The module also provides dense oracles (`entry`, `full`), deterministic random
 generation keyed per slice (so distributed generation can reproduce it
-bitwise), mode-2 linear operator application, a structural identity check used
-to validate the layout algebra, and a small binary file format.
+bitwise), a structural identity check used to validate the layout algebra, and
+a small binary file format.
 
 Random generation gives slice ``i`` of core ``n`` its own counter-based Philox
 stream (Salmon et al., SC'11), keyed by ``SeedSequence(seed, spawn_key=(n,
@@ -430,21 +430,6 @@ def random_tt(dims, ranks, seed: int) -> TTTensor:
         fill_random_slab(arr, n, 0, seed)
         cores.append(TTCore(arr))
     return TTTensor(cores)
-
-
-def mode2_multiply(core: TTCore, a) -> TTCore:
-    """Apply a square operator to the mode-2 fibers of one core.
-
-    Computes ``Y(i) = sum_j a[i, j] X(j)`` as ``r_right`` successive
-    matrix products; ``a`` may be dense or any scipy.sparse matrix.
-    """
-    rl, d, rr = core.array.shape
-    if a.shape != (d, d):
-        raise ShapeError(f"operator factor must be {d}x{d}, got {a.shape}")
-    out = np.empty((rl, d, rr), order="F")
-    for r in range(rr):
-        out[:, :, r] = (a @ core.array[:, :, r].T).T
-    return TTCore(out)
 
 
 def _left_chain(cores, upto: int) -> np.ndarray:

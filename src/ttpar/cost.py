@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .comm import CostModelParams, _log2_ceil
 from .errors import ContractError
 from ._kernels import SVD_FLOPS_PER_MN2
+from .ops import _cholesky_flops
 from .parallel import _BACKWARD, ROUNDING_VARIANTS, _sweeps
 
 OP_KINDS = (
@@ -204,7 +205,7 @@ def chain_estimate(op_kind, dims, ranks, P=1, out_ranks=None,
             for n, d in enumerate(dims)
         ) / P
         if kind == "norm":  # each mode's replicated dpotrf of its r x r carry
-            f["Other"] += sum(r * (r + 1) * (2 * r + 1) // 6 for r in ranks[:-1])
+            f["Other"] += sum(_cholesky_flops(r, r) for r in ranks[:-1])
         words = sum(r * r for r in ranks[1:]) * (P > 1)
         messages = N * lg
     else:  # orthonormalization (a right sweep) or rounding

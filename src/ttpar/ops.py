@@ -1,4 +1,7 @@
-"""TT arithmetic on sequential and row-distributed tensors.
+"""TT arithmetic on row-distributed tensors.
+
+Every op runs one body on a `DistTTTensor`; a sequential `TTTensor` is its
+one-rank case, entering and leaving through `_enter`.
 
 All of these operate slab-locally where the math allows it: scaling touches
 one core, addition builds block-diagonal cores, and the Hadamard product
@@ -22,7 +25,7 @@ from scipy.linalg.lapack import dpotrf, dpstrf
 
 from ._kernels import dgemm, dsyrk, dtrmm
 from .comm import SerialComm
-from .core import TTCore, TTTensor, mode2_multiply
+from .core import TTCore, TTTensor
 from .errors import CapacityError, ContractError, NumericError, ShapeError
 from .parallel import (
     _BACKWARD,
@@ -33,10 +36,8 @@ from .parallel import (
     _qr_sweep,
     _sqrt_scaled,
     block_bounds,
-    gather,
     orthonormalize,  # noqa: F401  (re-exported; perfbench/spans.py wraps ops.orthonormalize)
     round_tt,
-    serial_tt,
 )
 
 NORM_METHODS = ("innerprod", "innerprod_sym", "ortho")
@@ -48,39 +49,38 @@ _PSTRF_RTOL = 1e-14  # rank-reveal pivot tolerance, relative to the max diagonal
 _GRAM_RESID_RTOL = 1e-6  # reconstruction residual that triggers the fallback
 
 
-def _parts(x):
-    """(slabs, dims, ranks, comm) for either tensor flavor; comm is None when sequential."""
+def _enter(x, comm=None):
+    """``(dt, leave)``: ``x`` as a `DistTTTensor`, and the function that
+    returns a result in x's flavor.  A `TTTensor` enters as a one-rank tensor
+    over its own core arrays (no copy) on ``comm``, or a new `SerialComm`."""
     if isinstance(x, DistTTTensor):
-        return x.local, x.dims, x.ranks, x.comm
+        return x, lambda dt: dt
     if isinstance(x, TTTensor):
-        return [c.array for c in x.cores], x.dims, x.ranks, None
+        dt = DistTTTensor(comm or SerialComm(), x.dims, x.ranks, [c.array for c in x.cores])
+        return dt, lambda out: TTTensor([TTCore(s) for s in out.local])
     raise ContractError(f"expected TTTensor or DistTTTensor, got {type(x).__name__}")
 
 
-def _build(template, slabs, ranks):
-    if isinstance(template, DistTTTensor):
-        return DistTTTensor(template.comm, template.dims, tuple(ranks), slabs)
-    return TTTensor([TTCore(s) for s in slabs])
-
-
 def _check_pair(x, y):
-    xs, xd, xr, xc = _parts(x)
-    ys, yd, yr, yc = _parts(y)
-    if (xc is None) != (yc is None):
+    """``(dx, dy, leave)`` of `_enter` for both operands; two sequential
+    operands share one `SerialComm`."""
+    dx, leave = _enter(x)
+    dy, _ = _enter(y, None if dx is x else dx.comm)
+    if (dx is x) != (dy is y):
         raise ContractError("cannot mix sequential and distributed tensors")
-    if xc is not None and xc is not yc:
+    if dx.comm is not dy.comm:
         raise ContractError("operands live on different communicators")
-    if xd != yd:
-        raise ShapeError(f"dimension mismatch: {xd} vs {yd}")
-    return xs, ys, xd, xr, yr, xc
+    if dx.dims != dy.dims:
+        raise ShapeError(f"dimension mismatch: {dx.dims} vs {dy.dims}")
+    return dx, dy, leave
 
 
 def scale(x, s: float):
     """Multiply by a scalar (folded into the first core; no communication)."""
-    slabs, dims, ranks, _ = _parts(x)
-    out = [np.multiply(slabs[0], float(s), order="F")]
-    out += [sl.copy(order="F") for sl in slabs[1:]]
-    return _build(x, out, ranks)
+    dt, leave = _enter(x)
+    out = [np.multiply(dt.local[0], float(s), order="F")]
+    out += [sl.copy(order="F") for sl in dt.local[1:]]
+    return leave(DistTTTensor(dt.comm, dt.dims, dt.ranks, out))
 
 
 def add(x, y):
@@ -88,13 +88,12 @@ def add(x, y):
 
     Bond ranks add; no data moves between ranks.
     """
-    xs, ys, dims, xr, yr, _ = _check_pair(x, y)
-    n_modes = len(dims)
+    dx, dy, leave = _check_pair(x, y)
+    n_modes = dx.ndim
     if n_modes == 1:
-        return _build(x, [xs[0] + ys[0]], (1, 1))
+        return leave(DistTTTensor(dx.comm, dx.dims, (1, 1), [dx.local[0] + dy.local[0]]))
     out = []
-    for n in range(n_modes):
-        a, b = xs[n], ys[n]
+    for n, (a, b) in enumerate(zip(dx.local, dy.local)):
         (ral, d, rar), (rbl, _, rbr) = a.shape, b.shape
         if n == 0:
             z = np.zeros((1, d, rar + rbr), order="F")
@@ -109,8 +108,8 @@ def add(x, y):
             z[:ral, :, :rar] = a
             z[ral:, :, rar:] = b
         out.append(z)
-    ranks = tuple(rx + ry for rx, ry in zip(xr, yr))
-    return _build(x, out, (1,) + ranks[1:-1] + (1,))
+    ranks = tuple(rx + ry for rx, ry in zip(dx.ranks, dy.ranks))
+    return leave(DistTTTensor(dx.comm, dx.dims, (1,) + ranks[1:-1] + (1,), out))
 
 
 def hadamard(x, y, max_rank_product: int | None = None):
@@ -125,11 +124,11 @@ def hadamard(x, y, max_rank_product: int | None = None):
     `HADAMARD_RANK_GUARD`, at least 1) since memory grows with the rank
     product squared.
     """
-    xs, ys, dims, xr, yr, comm = _check_pair(x, y)
+    dx, dy, leave = _check_pair(x, y)
     guard = HADAMARD_RANK_GUARD if max_rank_product is None else int(max_rank_product)
     if guard < 1:
         raise ContractError(f"max_rank_product must be >= 1, got {guard}")
-    ranks = tuple(rx * ry for rx, ry in zip(xr, yr))
+    ranks = tuple(rx * ry for rx, ry in zip(dx.ranks, dy.ranks))
     if max(ranks) > guard:
         raise CapacityError(
             f"hadamard bond ranks {max(ranks)} exceed the guard ({guard}); "
@@ -137,7 +136,7 @@ def hadamard(x, y, max_rank_product: int | None = None):
         )
     out = []
     flops = 0.0
-    for a, b in zip(xs, ys):
+    for a, b in zip(dx.local, dy.local):
         (ral, d, rar), (rbl, _, rbr) = a.shape, b.shape
         # y's core spread over x's left rank and x's over y's (a view when
         # that rank is 1), so both run contiguously down z's rbl * ral rows
@@ -150,9 +149,8 @@ def hadamard(x, y, max_rank_product: int | None = None):
                     out=z.reshape((rbl, ral, d, rbr, rar), order="F", copy=False))
         out.append(z)
         flops += float(d) * ral * rbl * rar * rbr
-    if comm is not None:
-        comm.trace.add_flops(flops)
-    return _build(x, out, ranks)
+    dx.comm.trace.add_flops(flops)
+    return leave(DistTTTensor(dx.comm, dx.dims, ranks, out))
 
 
 def _gram_step(tr, w, a, b) -> np.ndarray:
@@ -205,9 +203,8 @@ def inner_product(x, y) -> float:
     hold fails: an overflow, a nonzero value that underflows to 0, or a
     non-finite one raises `NumericError`.
     """
-    xs, ys, dims, xr, yr, comm = _check_pair(x, y)
-    comm = comm or SerialComm()
-    m, e = _gram_recurrence(comm, zip(xs, ys), partial(_pair_step, comm.trace))
+    dx, dy, _ = _check_pair(x, y)
+    m, e = _gram_recurrence(dx.comm, zip(dx.local, dy.local), partial(_pair_step, dx.comm.trace))
     with np.errstate(over="ignore", under="ignore"):
         val = float(np.ldexp(m, e))
     if not np.isfinite(val) or (val == 0.0 and m != 0.0):
@@ -340,13 +337,12 @@ def norm(x, method: str = "innerprod", return_info: bool = False):
     if method not in NORM_METHODS:
         raise ContractError(f"unknown norm method {method!r}; pick from {NORM_METHODS}")
     info = {"method": method, "fallback": False}
-    slabs, dims, ranks, comm = _parts(x)
-    comm = comm or SerialComm()
+    dt, _ = _enter(x)
+    comm, slabs = dt.comm, dt.local
     tr = comm.trace
     pair = partial(_pair_step, tr)
     if method == "ortho":
         # _qr_sweep writes nothing to its input, so sequential cores need no copy
-        dt = x if isinstance(x, DistTTTensor) else DistTTTensor(comm, dims, ranks, slabs)
         val = _end_core_norm(comm, _qr_sweep(dt, _BACKWARD, implicit=True)[0][0])
     elif method == "innerprod":
         val = _sqrt_scaled(*_gram_recurrence(comm, zip(slabs, slabs), pair))
@@ -392,8 +388,11 @@ class KroneckerOperator:
         return cls(tuple(dims), [[sp.identity(int(d), format="csr") for d in dims]])
 
 
-def _apply_term_dist(factors, dt: DistTTTensor):
-    comm = dt.comm
+def _apply_term(factors, dt: DistTTTensor) -> DistTTTensor:
+    """One Kronecker term applied to ``dt``.  Row k of ``got`` is slice
+    ``need[k]``, left rank fastest, as slices also travel; rank q owns the
+    run ``cut[q]:cut[q + 1]`` of the sorted ``need``, so it lands as a block."""
+    comm, me, nranks = dt.comm, dt.comm.rank, dt.comm.size
     out = []
     for n, slab in enumerate(dt.local):
         a = factors[n]
@@ -401,38 +400,29 @@ def _apply_term_dist(factors, dt: DistTTTensor):
         lo, hi = dt.local_bounds(n)
         rows_mine = a[lo:hi]
         need = np.unique(rows_mine.indices)
-        got = np.empty((need.size, rl * rr), order="F") if need.size else np.zeros((0, rl * rr))
-        pos = {int(i): k for k, i in enumerate(need)}
-        for i in need:
-            if lo <= i < hi:
-                got[pos[int(i)]] = slab[:, int(i) - lo, :].ravel(order="F")
+        edges = [block_bounds(dt.dims[n], nranks, q)[0] for q in range(nranks + 1)]
+        cut = np.searchsorted(need, edges)
+        got = np.empty((need.size, rr, rl))
+        got[cut[me]:cut[me + 1]] = slab[:, need[cut[me]:cut[me + 1]] - lo].transpose(1, 2, 0)
         # pair {p, q} meets at round (p + q) mod P, so all P rounds are
         # needed; each rank self-pairs (and idles) in exactly one of them
-        for rnd in range(comm.size):
-            q = (rnd - comm.rank) % comm.size
-            if q == comm.rank:
+        for rnd in range(nranks):
+            q = (rnd - me) % nranks
+            if q == me:
                 continue
-            qlo, qhi = block_bounds(dt.dims[n], comm.size, q)
-            theirs = np.unique(a[qlo:qhi].indices)
-            send_idx = theirs[(theirs >= lo) & (theirs < hi)]
-            recv_idx = need[(need >= qlo) & (need < qhi)]
-            if send_idx.size:
-                payload = np.concatenate(
-                    [slab[:, int(i) - lo, :].ravel(order="F") for i in send_idx]
-                )
-            else:
-                payload = np.zeros(0)
-            data = comm.sendrecv(q, payload)
-            if data.size != recv_idx.size * rl * rr:
+            theirs = np.unique(a[edges[q]:edges[q + 1]].indices)
+            send = theirs[(theirs >= lo) & (theirs < hi)]
+            data = comm.sendrecv(q, slab[:, send - lo].transpose(1, 2, 0).ravel())
+            run = got[cut[q]:cut[q + 1]]
+            if data.size != run.size:
                 raise ContractError(
                     f"operator exchange with rank {q} delivered {data.size} values, "
-                    f"expected {recv_idx.size * rl * rr}"
+                    f"expected {run.size}"
                 )
-            for k, i in enumerate(recv_idx):
-                got[pos[int(i)]] = data[k * rl * rr : (k + 1) * rl * rr]
-        local = rows_mine[:, need] @ got if need.size else np.zeros((d_loc, rl * rr))
+            run[...] = data.reshape(run.shape)
+        local = rows_mine[:, need] @ got.reshape((need.size, rr * rl))
         comm.trace.add_flops(2.0 * rows_mine.nnz * rl * rr)
-        out.append(np.asfortranarray(np.asarray(local).reshape(d_loc, rr, rl).transpose(2, 0, 1)))
+        out.append(np.asfortranarray(local.reshape(d_loc, rr, rl).transpose(2, 0, 1)))
     return DistTTTensor(comm, dt.dims, dt.ranks, out)
 
 
@@ -440,31 +430,20 @@ def apply_operator(op: KroneckerOperator, x, round_eps: float | None = None,
                    max_rank: int | None = None):
     """Apply a Kronecker-sum operator: mode-2 products per term, then TT sums.
 
-    Distributed tensors fetch only the mode slices the sparsity pattern
-    couples (a symmetric round-robin of pairwise exchanges; the operator is
-    replicated so both sides compute the transfer lists independently).
+    Each rank fetches only the mode slices the sparsity pattern couples (a
+    symmetric round-robin of pairwise exchanges, none at P = 1; the operator
+    is replicated so both sides compute the transfer lists independently).
     Passing ``round_eps`` compresses the summed result in place.
     """
-    _, dims, _, comm = _parts(x)
-    if op.dims != dims:
-        raise ShapeError(f"operator dims {op.dims} do not match tensor dims {dims}")
-    parts = []
-    for factors in op.terms:
-        if comm is None:
-            cores = [mode2_multiply(c, a) for c, a in zip(x.cores, factors)]
-            parts.append(TTTensor(cores))
-        else:
-            parts.append(_apply_term_dist(factors, x))
-    z = parts[0]
-    for extra in parts[1:]:
-        z = add(z, extra)
+    dt, leave = _enter(x)
+    if op.dims != dt.dims:
+        raise ShapeError(f"operator dims {op.dims} do not match tensor dims {dt.dims}")
+    z = _apply_term(op.terms[0], dt)
+    for factors in op.terms[1:]:
+        z = add(z, _apply_term(factors, dt))
     if round_eps is not None:
-        opts = RoundingOptions(eps0=round_eps, max_rank=max_rank)
-        if comm is None:
-            z = gather(round_tt(serial_tt(z), opts))
-        else:
-            z = round_tt(z, opts)
-    return z
+        z = round_tt(z, RoundingOptions(eps0=round_eps, max_rank=max_rank))
+    return leave(z)
 
 
 _OP_MAGIC = "KRONOP1"

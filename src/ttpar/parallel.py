@@ -350,6 +350,14 @@ def _end_core_norm(comm: Communicator, end: np.ndarray) -> float:
     return _sqrt_scaled(0.0 if w is None else float(w[0, 0]), k)
 
 
+def _require_dist(dt, name: str) -> None:
+    if not isinstance(dt, DistTTTensor):
+        raise ContractError(
+            f"{name} takes a DistTTTensor, got {type(dt).__name__}; "
+            "wrap a sequential tensor with serial_tt"
+        )
+
+
 def orthonormalize(dt: DistTTTensor, direction: str = "right") -> DistTTTensor:
     """QR-sweep the chain so all but one end core has orthonormal unfoldings.
 
@@ -358,6 +366,7 @@ def orthonormalize(dt: DistTTTensor, direction: str = "right") -> DistTTTensor:
     (which then carries the tensor's norm); ``"left"`` mirrors this.  Ranks
     are unchanged; the represented tensor is unchanged up to roundoff.
     """
+    _require_dist(dt, "orthonormalize")
     if direction not in ("left", "right"):
         raise ContractError(f"direction must be 'left' or 'right', got {direction!r}")
     sweep = _BACKWARD if direction == "right" else _FORWARD
@@ -458,6 +467,7 @@ def round_tt(dt: DistTTTensor, opts: RoundingOptions) -> DistTTTensor:
     on the side the truncation sweep started from.  Tensors that are exactly
     zero collapse to the canonical rank-1 zero.
     """
+    _require_dist(dt, "round_tt")
     comm, tr = dt.comm, dt.comm.trace
     N = dt.ndim
     meta = {

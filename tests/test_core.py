@@ -14,7 +14,6 @@ from ttpar.core import (
     fill_random_slab,
     full,
     load_tt,
-    mode2_multiply,
     random_tt,
     save_tt,
     slice_rng,
@@ -235,20 +234,6 @@ def test_fill_random_slab_rejects_negative_indices():
         fill_random_slab(np.empty((1, 2, 1)), 0, -1, 0)
     with pytest.raises(BoundsError):
         fill_random_slab(np.empty((1, 2, 1)), -1, 0, 0)
-
-
-def test_mode2_multiply_matches_dense():
-    """Applying a matrix to mode-2 fibers of one core matches the dense result."""
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        rl, d, rr = (int(v) for v in rng.integers(1, 6, size=3))
-        core = TTCore(rng.standard_normal((rl, d, rr)))
-        a = rng.standard_normal((d, d))
-        out = mode2_multiply(core, a)
-        expect = np.einsum("ij,rjs->ris", a, core.array)
-        assert np.allclose(out.array, expect, rtol=1e-13, atol=1e-14)
-    with pytest.raises(ShapeError):
-        mode2_multiply(core, np.ones((d + 1, d + 1)))
 
 
 def test_quadprod_identity_holds():

@@ -1,5 +1,6 @@
 """TT arithmetic against dense oracles, plus the Kronecker operator format."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,9 @@ import scipy.sparse as sp
 
 from ttpar import (
     KroneckerOperator,
+    RoundingOptions,
+    SerialComm,
+    TTTensor,
     add,
     apply_operator,
     distribute,
@@ -19,6 +23,7 @@ from ttpar import (
     norm,
     orthonormalize,
     random_tt,
+    round_tt,
     run_spmd,
     save_operator,
     scale,
@@ -82,6 +87,29 @@ def test_mixed_flavors_rejected():
             add(dx, y)
 
     run_spmd(2, body)
+
+
+def test_operand_errors_keep_their_type_and_message():
+    x = random_tt((4, 5), (1, 2, 1), seed=7)
+    op = KroneckerOperator.identity((4, 5))
+    cases = [
+        (lambda: add(x, 3.0), "expected TTTensor or DistTTTensor, got float"),
+        (lambda: scale([x], 2.0), "expected TTTensor or DistTTTensor, got list"),
+        (lambda: norm(None), "expected TTTensor or DistTTTensor, got NoneType"),
+        (lambda: apply_operator(op, "x"), "expected TTTensor or DistTTTensor, got str"),
+        (lambda: inner_product(x, serial_tt(x)), "cannot mix sequential and distributed tensors"),
+        (lambda: hadamard(serial_tt(x), serial_tt(x)), "operands live on different communicators"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_round_and_orthonormalize_name_serial_tt_for_a_sequential_tensor():
+    x = random_tt((4, 5), (1, 2, 1), seed=7)
+    for call in (lambda: orthonormalize(x), lambda: round_tt(x, RoundingOptions(1e-8))):
+        with pytest.raises(ContractError, match="serial_tt"):
+            call()
 
 
 def test_dimension_mismatch_rejected():
@@ -366,10 +394,13 @@ def test_apply_operator_distributed_matches():
     x, _ = pair(27, dims=dims, rx=(1, 3, 4, 1))
     op = kron_sum_operator(dims)
     want = dense_operator(op) @ full(x).data
+    # each output entry sums its row's terms in column order on any P
+    seq = [k.array.tobytes() for k in apply_operator(op, x).cores]
 
     def body(comm):
-        z = apply_operator(op, distribute(x, comm))
-        assert np.allclose(full(gather(z)).data, want, atol=1e-12)
+        z = gather(apply_operator(op, distribute(x, comm)))
+        assert np.allclose(full(z).data, want, atol=1e-12)
+        assert [k.array.tobytes() for k in z.cores] == seq
 
     for p in (2, 3):
         run_spmd(p, body)
@@ -389,15 +420,18 @@ def test_apply_operator_moves_only_coupled_slices():
         dx = distribute(x, comm)
         comm.trace.reset()
         z = apply_operator(op, dx)
-        msgs = comm.trace.total("messages")
+        msgs, words = comm.trace.total("messages"), comm.trace.total("words")
         got = full(gather(z)).data
-        return msgs, got
+        return msgs, words, got
 
     runs = run_spmd(4, body)
-    for msgs, got in runs.results:
+    for _, _, got in runs.results:
         assert np.allclose(got, want, atol=1e-12)
     # 3 exchange rounds per mode over 2 modes; only boundary slices carry data
-    assert all(m == 6 for m, _ in runs.results)
+    assert [m for m, _, _ in runs.results] == [6] * 4
+    # each rank sends each neighbor block its one boundary slice of mode 0,
+    # r_left * r_right = 1 * 2 words; the identity mode sends nothing
+    assert [w for _, w, _ in runs.results] == [s * 1 * 2 for s in (1, 2, 2, 1)]
 
 
 def test_apply_operator_with_rounding():
@@ -414,6 +448,35 @@ def test_apply_operator_with_rounding():
         assert np.allclose(full(gather(dz)).data, want, atol=1e-8 * np.linalg.norm(want))
 
     run_spmd(2, body)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-170, 1e150])
+def test_sequential_ops_match_the_one_rank_tensor_bytewise(c):
+    """A sequential tensor runs the one-rank distributed code: every op on a
+    TTTensor gives, byte for byte, what it gives on the same cores as
+    DistTTTensors on one SerialComm, gathered."""
+    x0, y = pair(31, dims=(5, 1, 6))
+    x = scale(x0, c)
+    comm = SerialComm()
+    sx, sy = distribute(x, comm), distribute(y, comm)
+    op = kron_sum_operator(x.dims)
+    tensors = [
+        (scale(x, -2.5), scale(sx, -2.5)),
+        (add(x, y), add(sx, sy)),
+        (hadamard(x, y), hadamard(sx, sy)),
+        (apply_operator(op, x), apply_operator(op, sx)),
+        (apply_operator(op, x, round_eps=1e-10), apply_operator(op, sx, round_eps=1e-10)),
+    ]
+    for seq, one in tensors:
+        assert isinstance(seq, TTTensor)
+        assert [k.array.tobytes() for k in seq.cores] == [
+            k.array.tobytes() for k in gather(one).cores
+        ]
+    assert np.float64(inner_product(x, y)).tobytes() == np.float64(inner_product(sx, sy)).tobytes()
+    for method in ops.NORM_METHODS:
+        (v, info), (w, info1) = norm(x, method, True), norm(sx, method, True)
+        assert np.float64(v).tobytes() == np.float64(w).tobytes()
+        assert info == info1
 
 
 def test_apply_operator_dims_must_match():
