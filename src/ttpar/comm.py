@@ -169,6 +169,10 @@ class Communicator:
         self.trace.add_message(size * rounds, rounds)
 
 
+class _GroupAbort(ContractError):
+    """A peer's abort seen at a rendezvous: secondary to that peer's error."""
+
+
 class _SimGroup:
     """One simulated SPMD group: P ranks that meet at one mailbox.
 
@@ -210,7 +214,7 @@ class _SimGroup:
                     f"(src, dst, channel, #) boxes: {sorted(boxes)}"
                 )
             if self._abort_origin is not None:
-                raise ContractError(
+                raise _GroupAbort(
                     f"group aborted by rank {self._abort_origin} during {what} "
                     f"call #{keys[0][3]}"
                 )
@@ -328,19 +332,10 @@ def run_spmd(nranks: int, body, *, timeout: float = 60.0) -> SpmdRun:
             t.start()
         for t in threads:
             t.join()
-    root_cause = None
-    for e in errors:
-        if e is None:
-            continue
-        if root_cause is None or (not _is_secondary(e) and _is_secondary(root_cause)):
-            root_cause = e
-    if root_cause is not None:
-        raise root_cause
+    raised = [e for e in errors if e is not None]
+    if raised:  # the first error that is not a peer's abort, else the first
+        raise next((e for e in raised if not isinstance(e, _GroupAbort)), raised[0])
     return SpmdRun(results, [c.trace for c in comms])
-
-
-def _is_secondary(e: BaseException) -> bool:
-    return isinstance(e, ContractError) and "aborted by rank" in str(e)
 
 
 class MPICommunicator(Communicator):

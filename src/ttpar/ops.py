@@ -4,13 +4,14 @@ Every op runs one body on a `DistTTTensor`; a sequential `TTTensor` is its
 one-rank case, entering and leaving through `_enter`.
 
 All of these operate slab-locally where the math allows it: scaling touches
-one core, addition builds block-diagonal cores, and the Hadamard product
-takes slicewise Kronecker products -- none of them communicate.  Inner
-products and norms reduce one small Gram matrix per mode (an allreduce each);
-the symmetric norm factors each carry by an unpivoted Cholesky (dpotrf) and
-runs the pivoted, checked one (dpstrf) only when dpotrf rejects the carry.
-`apply_operator` is the only op that moves core data between ranks, and only
-the mode slices the operator's sparsity actually couples.
+one core, addition of one or more operands writes each block-diagonal core
+once, and the Hadamard product takes slicewise Kronecker products -- none of
+them communicate.  Inner products and norms reduce one small Gram matrix per
+mode (an allreduce each); the symmetric norm factors each carry by an
+unpivoted Cholesky (dpotrf) and runs the pivoted, checked one (dpstrf) only
+when dpotrf rejects the carry.  `apply_operator`, the only op that moves core
+data between ranks (just the mode slices its sparsity couples), sums its
+terms in one `add` call.
 """
 
 from __future__ import annotations
@@ -61,18 +62,20 @@ def _enter(x, comm=None):
     raise ContractError(f"expected TTTensor or DistTTTensor, got {type(x).__name__}")
 
 
-def _check_pair(x, y):
-    """``(dx, dy, leave)`` of `_enter` for both operands; two sequential
-    operands share one `SerialComm`."""
-    dx, leave = _enter(x)
-    dy, _ = _enter(y, None if dx is x else dx.comm)
-    if (dx is x) != (dy is y):
-        raise ContractError("cannot mix sequential and distributed tensors")
-    if dx.comm is not dy.comm:
-        raise ContractError("operands live on different communicators")
-    if dx.dims != dy.dims:
-        raise ShapeError(f"dimension mismatch: {dx.dims} vs {dy.dims}")
-    return dx, dy, leave
+def _check_operands(*xs):
+    """``(ds, leave)``: every operand `_enter`ed and the first one's ``leave``;
+    sequential operands share one `SerialComm`."""
+    first, leave = _enter(xs[0])
+    ds = [first]
+    for x in xs[1:]:
+        ds.append(_enter(x, None if first is xs[0] else first.comm)[0])
+        if (first is xs[0]) != (ds[-1] is x):
+            raise ContractError("cannot mix sequential and distributed tensors")
+        if ds[-1].comm is not first.comm:
+            raise ContractError("operands live on different communicators")
+        if ds[-1].dims != first.dims:
+            raise ShapeError(f"dimension mismatch: {first.dims} vs {ds[-1].dims}")
+    return ds, leave
 
 
 def scale(x, s: float):
@@ -83,33 +86,33 @@ def scale(x, s: float):
     return leave(DistTTTensor(dt.comm, dt.dims, dt.ranks, out))
 
 
-def add(x, y):
-    """TT sum: end cores concatenate, interior cores stack block-diagonally.
+def add(x, *more):
+    """TT sum of one or more operands: end cores concatenate, interior cores
+    stack block-diagonally; bond ranks add and no data moves between ranks.
 
-    Bond ranks add; no data moves between ranks.
+    Each slab is copied into its block of a zeroed core, allocated once, at
+    offsets that advance along the inner bonds only (the unit end bonds are
+    shared).  A one-mode chain sums in argument order; one operand is copied.
     """
-    dx, dy, leave = _check_pair(x, y)
-    n_modes = dx.ndim
-    if n_modes == 1:
-        return leave(DistTTTensor(dx.comm, dx.dims, (1, 1), [dx.local[0] + dy.local[0]]))
+    ds, leave = _check_operands(x, *more)
+    n_modes = ds[0].ndim
+    ranks = (1,) + tuple(map(sum, zip(*(dt.ranks for dt in ds))))[1:-1] + (1,)
+    if n_modes == 1:  # every block is the whole core
+        z = ds[0].local[0].copy(order="F")
+        for dt in ds[1:]:
+            z += dt.local[0]
+        return leave(DistTTTensor(ds[0].comm, ds[0].dims, ranks, [z]))
     out = []
-    for n, (a, b) in enumerate(zip(dx.local, dy.local)):
-        (ral, d, rar), (rbl, _, rbr) = a.shape, b.shape
-        if n == 0:
-            z = np.zeros((1, d, rar + rbr), order="F")
-            z[:, :, :rar] = a
-            z[:, :, rar:] = b
-        elif n == n_modes - 1:
-            z = np.zeros((ral + rbl, d, 1), order="F")
-            z[:ral] = a
-            z[ral:] = b
-        else:
-            z = np.zeros((ral + rbl, d, rar + rbr), order="F")
-            z[:ral, :, :rar] = a
-            z[ral:, :, rar:] = b
+    for n, slabs in enumerate(zip(*(dt.local for dt in ds))):
+        z = np.zeros((ranks[n], slabs[0].shape[1], ranks[n + 1]), order="F")
+        i = j = 0
+        for a in slabs:
+            ral, _, rar = a.shape
+            z[i:i + ral, :, j:j + rar] = a
+            i += ral if n > 0 else 0
+            j += rar if n < n_modes - 1 else 0
         out.append(z)
-    ranks = tuple(rx + ry for rx, ry in zip(dx.ranks, dy.ranks))
-    return leave(DistTTTensor(dx.comm, dx.dims, (1,) + ranks[1:-1] + (1,), out))
+    return leave(DistTTTensor(ds[0].comm, ds[0].dims, ranks, out))
 
 
 def hadamard(x, y, max_rank_product: int | None = None):
@@ -124,7 +127,7 @@ def hadamard(x, y, max_rank_product: int | None = None):
     `HADAMARD_RANK_GUARD`, at least 1) since memory grows with the rank
     product squared.
     """
-    dx, dy, leave = _check_pair(x, y)
+    (dx, dy), leave = _check_operands(x, y)
     guard = HADAMARD_RANK_GUARD if max_rank_product is None else int(max_rank_product)
     if guard < 1:
         raise ContractError(f"max_rank_product must be >= 1, got {guard}")
@@ -203,7 +206,7 @@ def inner_product(x, y) -> float:
     hold fails: an overflow, a nonzero value that underflows to 0, or a
     non-finite one raises `NumericError`.
     """
-    dx, dy, _ = _check_pair(x, y)
+    (dx, dy), _ = _check_operands(x, y)
     m, e = _gram_recurrence(dx.comm, zip(dx.local, dy.local), partial(_pair_step, dx.comm.trace))
     with np.errstate(over="ignore", under="ignore"):
         val = float(np.ldexp(m, e))
@@ -428,19 +431,21 @@ def _apply_term(factors, dt: DistTTTensor) -> DistTTTensor:
 
 def apply_operator(op: KroneckerOperator, x, round_eps: float | None = None,
                    max_rank: int | None = None):
-    """Apply a Kronecker-sum operator: mode-2 products per term, then TT sums.
+    """Apply a Kronecker-sum operator: mode-2 products per term, then one
+    `add` call that sums all the terms.
 
     Each rank fetches only the mode slices the sparsity pattern couples (a
     symmetric round-robin of pairwise exchanges, none at P = 1; the operator
     is replicated so both sides compute the transfer lists independently).
-    Passing ``round_eps`` compresses the summed result in place.
+    Passing ``round_eps`` compresses the summed result in place, to at most
+    ``max_rank`` if given; ``max_rank`` without ``round_eps`` is an error.
     """
+    if round_eps is None and max_rank is not None:
+        raise ContractError("max_rank applies only when rounding; pass round_eps too")
     dt, leave = _enter(x)
     if op.dims != dt.dims:
         raise ShapeError(f"operator dims {op.dims} do not match tensor dims {dt.dims}")
-    z = _apply_term(op.terms[0], dt)
-    for factors in op.terms[1:]:
-        z = add(z, _apply_term(factors, dt))
+    z = add(*(_apply_term(factors, dt) for factors in op.terms))
     if round_eps is not None:
         z = round_tt(z, RoundingOptions(eps0=round_eps, max_rank=max_rank))
     return leave(z)

@@ -210,6 +210,20 @@ def test_rank_exception_propagates_as_root_cause():
         run_spmd(3, body, timeout=5.0)
 
 
+def test_own_error_is_the_root_cause_even_when_it_reads_like_an_abort():
+    """A body's own ContractError on a higher rank is re-raised, not a lower
+    rank's secondary abort, though its message names an abort by rank."""
+
+    def body(comm):
+        if comm.rank == 2:
+            raise ContractError("job aborted by rank policy")
+        comm.allreduce_sum(np.zeros(1))
+
+    with pytest.raises(ContractError, match="^job aborted by rank policy$") as info:
+        run_spmd(3, body, timeout=5.0)
+    assert type(info.value) is ContractError
+
+
 def test_counters_charge_documented_costs():
     """sendrecv: 1 msg / sent words.  Collectives: ceil(log2 P) rounds."""
 

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -448,6 +449,57 @@ def test_apply_operator_with_rounding():
         assert np.allclose(full(gather(dz)).data, want, atol=1e-8 * np.linalg.norm(want))
 
     run_spmd(2, body)
+
+
+def test_apply_operator_sums_its_terms_in_one_add():
+    """With four terms, apply_operator is byte for byte `add` nested over the
+    one-term results, sequentially and at P = 1, 2 and 3; every rank sends
+    the words of its terms' exchanges and one message per term, mode and
+    peer, and adding charges no flops."""
+    dims = (6, 5, 7)
+    x, _ = pair(34, dims=dims, rx=(1, 3, 4, 1))
+    op = kron_sum_operator(dims)
+    op = KroneckerOperator(dims, op.terms + [[laplacian(d) for d in dims]])
+    ones = [KroneckerOperator(dims, [t]) for t in op.terms]
+
+    def as_bytes(t):
+        return [k.array.tobytes() for k in t.cores]
+
+    want = as_bytes(reduce(add, [apply_operator(o, x) for o in ones]))
+    assert as_bytes(apply_operator(op, x)) == want
+
+    def body(comm):
+        dx = distribute(x, comm)
+        runs = []
+        for parts in ([op], ones):
+            comm.trace.reset()
+            z = reduce(add, [apply_operator(o, dx) for o in parts])
+            runs.append(([comm.trace.total(k) for k in ("flops", "words", "messages")], z))
+        return [(counts, as_bytes(gather(z))) for counts, z in runs]
+
+    for p in (1, 2, 3):
+        for (whole, got), (per_term, nested) in run_spmd(p, body).results:
+            assert got == nested == want
+            assert whole == per_term
+            assert whole[2] == len(op.terms) * len(dims) * (p - 1)
+
+
+def test_apply_operator_max_rank_needs_round_eps():
+    """max_rank is read only when rounding: alone, it is refused before any
+    term is applied."""
+    x, _ = pair(35)
+    op = kron_sum_operator(x.dims)
+    with pytest.raises(ContractError, match="round_eps"):
+        apply_operator(op, x, max_rank=2)
+
+    def body(comm):
+        dx = distribute(x, comm)
+        comm.trace.reset()
+        with pytest.raises(ContractError, match="round_eps"):
+            apply_operator(op, dx, max_rank=2)
+        return [comm.trace.total(k) for k in ("flops", "words", "messages")]
+
+    assert run_spmd(2, body).results == [[0.0, 0.0, 0.0]] * 2
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-170, 1e150])

@@ -1,7 +1,10 @@
 """Property-based tests: `local_qr` on both kernel routes, any shape and
 magnitude; the routed leaf's Q built for a triangle; the vectorized Philox
-key derivation against numpy's SeedSequence; the three norms, the Hadamard
-product and the TSQR sweeps (`round_tt`, `orthonormalize`) across P."""
+key derivation against numpy's SeedSequence; the three norms, the n-ary sum,
+the inner product, the Hadamard product and the TSQR sweeps (`round_tt`,
+`orthonormalize`) across P."""
+
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,19 +13,24 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from ttpar import (  # noqa: E402
+    DistTTTensor,
     RoundingOptions,
+    TTTensor,
     add,
     distribute,
     gather,
     hadamard,
+    inner_product,
     norm,
     orthonormalize,
     random_tt,
     round_tt,
     run_spmd,
     scale,
+    serial_tt,
     tsqr,
 )
+from ttpar.errors import ContractError, NumericError, ShapeError  # noqa: E402
 from ttpar.core import _slice_keys  # noqa: E402
 from ttpar.cost import chain_estimate  # noqa: E402
 from ttpar.tsqr import local_qr  # noqa: E402
@@ -170,6 +178,143 @@ def test_sym_norm_agrees_with_innerprod_across_p(case):
         for v in (val, ortho):
             assert np.isfinite(v) and v > 0.0
             assert v == pytest.approx(want, rel=1e-11)
+
+
+def _chain(draw, n_modes, top):
+    return (1,) + tuple(draw(st.integers(1, top)) for _ in range(n_modes - 1)) + (1,)
+
+
+@st.composite
+def add_cases(draw):
+    """(xs, P, k): 1 to 4 random TTs of 1 to 4 modes of size 1 to 6 (so
+    one-mode chains too), each with its own bond ranks 1 to 4; P is None
+    (sequential inputs) or 1 to 4, so modes smaller than P leave idle ranks;
+    k is where a rejected operand is slipped in among them."""
+    n_modes = draw(st.integers(1, 4))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(n_modes))
+    xs = [random_tt(dims, _chain(draw, n_modes, 4), draw(st.integers(0, 2**16)))
+          for _ in range(draw(st.integers(1, 4)))]
+    return xs, draw(st.one_of(st.none(), st.integers(1, 4))), draw(st.integers(0, len(xs)))
+
+
+def _slabs(t):
+    return t.local if isinstance(t, DistTTTensor) else [c.array for c in t.cores]
+
+
+def _check_sum(ts, z, flavor):
+    """z = add(*ts) keeps the flavor, byte-equals the nested pairwise adds,
+    sums the inner bond ranks, and shares no memory with a lone operand."""
+    assert type(z) is flavor
+    assert [a.tobytes() for a in _slabs(z)] == [a.tobytes() for a in _slabs(reduce(add, ts))]
+    inner = tuple(sum(r) for r in zip(*(t.ranks for t in ts)))[1:-1]
+    assert z.ranks == (1,) + inner + (1,)
+    if len(ts) == 1:
+        assert not any(np.shares_memory(a, b) for a, b in zip(_slabs(z), _slabs(ts[0])))
+
+
+def _check_add_rejects(ts, k, intruders):
+    """add(*ts) with each ``(operand, error, message)`` slipped in at k
+    raises that error with that message."""
+    for bad, err, message in intruders:
+        with pytest.raises(err, match=message):
+            add(*ts[:k], bad, *ts[k:])
+
+
+_MIX = (ContractError, "^cannot mix sequential and distributed tensors$")
+_COMMS = (ContractError, "^operands live on different communicators$")
+_DIMS = (ShapeError, "^dimension mismatch: ")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(add_cases())
+@example(([random_tt((4, 5, 3), r, s) for s, r in enumerate([(1, 3, 2, 1), (1, 2, 4, 1),
+                                                             (1, 4, 1, 1)])], None, 1))
+@example(([random_tt((5,), (1, 1), s) for s in range(4)], 4, 2))
+@example(([random_tt((2, 1, 3), (1, 3, 2, 1), 5)], 3, 0))
+def test_add_is_one_block_stack_across_p(case):
+    """`add` of 1 to 4 operands is, byte for byte, the nested pairwise adds,
+    in the operands' flavor, with their inner bond ranks summed; a lone
+    operand comes back as a copy that aliases none of its arrays; the
+    gathered sum is the dense sum to 1e-12 relative; and an operand of the
+    other flavor, on another communicator or of other dims is refused with
+    the error and message every op gives for it."""
+    xs, nranks, k = case
+    want = sum(dense(x) for x in xs)
+    other = random_tt(xs[0].dims + (2,), (1,) * (xs[0].ndim + 2), 0)
+    if nranks is None:
+        z = add(*xs)
+        _check_sum(xs, z, TTTensor)
+        _check_add_rejects(xs, k, [(serial_tt(xs[0]),) + _MIX, (other,) + _DIMS])
+        _check_add_rejects([serial_tt(x) for x in xs], k, [(serial_tt(xs[0]),) + _COMMS])
+        gathered = [z]
+    else:
+        def body(comm):
+            ds = [distribute(x, comm, allow_idle=True) for x in xs]
+            dz = add(*ds)
+            _check_sum(ds, dz, DistTTTensor)
+            assert dz.comm is comm
+            _check_add_rejects(ds, k, [(xs[0],) + _MIX, (serial_tt(xs[0]),) + _COMMS,
+                                       (distribute(other, comm, allow_idle=True),) + _DIMS])
+            return gather(dz)
+
+        gathered = run_spmd(nranks, body).results
+    for g in gathered:
+        assert np.linalg.norm(dense(g) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@st.composite
+def inner_product_cases(draw):
+    """(x0, y0, x scale, y scale, P): two random TTs of 1 to 4 modes of size
+    1 to 6 with their own bond ranks 1 to 4, scaled by +-2^kx and +-2^ky
+    for |k| <= 1000; P from 1 to 4, so modes smaller than P leave idle ranks."""
+    n_modes = draw(st.integers(1, 4))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(n_modes))
+    x0, y0 = (random_tt(dims, _chain(draw, n_modes, 4), draw(st.integers(0, 2**16)))
+              for _ in range(2))
+
+    def power():
+        return (draw(st.sampled_from([1, -1])), draw(st.integers(-1000, 1000)))
+
+    return x0, y0, power(), power(), draw(st.integers(1, 4))
+
+
+def _ip_case(dims, rx, ry, kx, ky, nranks):
+    return random_tt(dims, rx, 1), random_tt(dims, ry, 2), (1, kx), (-1, ky), nranks
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(inner_product_cases())
+@example(_ip_case((4, 3, 5), (1, 2, 3, 1), (1, 4, 1, 1), 1000, 1000, 4))
+@example(_ip_case((4, 3, 5), (1, 2, 3, 1), (1, 4, 1, 1), -1000, -1000, 3))
+@example(_ip_case((4, 3, 5), (1, 2, 3, 1), (1, 4, 1, 1), 1000, -999, 2))
+@example(_ip_case((6, 2), (1, 3, 1), (1, 1, 1), 1000, 20, 4))
+@example(_ip_case((6, 2), (1, 3, 1), (1, 1, 1), -1000, -20, 1))
+def test_inner_product_of_scaled_operands_across_p(case):
+    """<sx 2^kx x0, sy 2^ky y0> for x0 != y0 of mixed ranks at P = 1 to 4 is
+    sx sy 2^(kx + ky) <x0, y0> (dense oracle) to 1e-10 relative on every
+    rank where that is a normal float64, and raises `NumericError` where it
+    overflows or rounds to 0; the subnormal band between is not checked."""
+    x0, y0, (sx, kx), (sy, ky), nranks = case
+    v0 = float(np.vdot(dense(x0), dense(y0)))
+    if v0 == 0.0:
+        return
+    x, y = scale(x0, sx * 2.0**kx), scale(y0, sy * 2.0**ky)
+    log2 = np.log2(abs(v0)) + kx + ky
+
+    def body(comm):
+        try:
+            return inner_product(distribute(x, comm, allow_idle=True),
+                                 distribute(y, comm, allow_idle=True))
+        except NumericError:
+            return None
+
+    got = run_spmd(nranks, body).results
+    if -1022.0 < log2 < 1024.0 - 1e-9:
+        want = sx * sy * np.ldexp(v0, kx + ky)
+        for v in got:
+            assert v is not None and abs(v - want) <= 1e-10 * abs(want)
+    elif log2 > 1024.0 + 1e-9 or log2 < -1075.0 - 1e-9:
+        assert got == [None] * nranks
 
 
 def _kron_core(a, b):
