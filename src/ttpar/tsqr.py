@@ -1,11 +1,15 @@
 """Communication-avoiding QR for tall-skinny matrices distributed by rows.
 
 `tsqr_factor` reduces per-rank local QRs through a tree of pairwise QRs of
-stacked b x b triangles, producing a b x b triangular factor R and an
-*implicit* representation of the orthonormal factor Q (packed Householder
-vectors at the leaf plus one small factorization per tree node).  Q is never
-formed; `tsqr_apply_q` pushes a b-row block back down the tree, which is all
-the TT sweeps ever need.
+stacked R factors, producing a b x b triangular factor R and an *implicit*
+representation of the orthonormal factor Q (packed Householder vectors at
+the leaf plus one small factorization per tree node).  Q is never formed;
+`tsqr_apply_q` pushes a b-row block back down the tree, which is all the TT
+sweeps ever need.  Every block is factored at its true height: an m-row leaf
+ships its k x b trapezoid R, k = min(m, b), and a node stacking k1 + k2 rows
+keeps min(k1 + k2, b).  Nothing is zero-padded, so every Q in the tree is
+orthonormal over real rows; only a root with fewer global rows than columns
+pads its R to b x b, and its apply reads the block's first k rows.
 
 Both trees are written once, as a per-rank exchange schedule (`_schedule`):
 an ordered list of ``(level, peer, role)`` steps.  A ``pair`` step swaps R
@@ -13,7 +17,7 @@ with the peer and both ranks factor the same stacked node; a ``child`` step
 receives the peer's R and factors it below this rank's; a ``parent`` step
 ships R to the peer and ends the rank's part of the reduction.  Factor walks
 the schedule forward, and apply walks the resulting nodes backward, handing
-each child its half of the block.
+each child its rows of the block.
 
 * ``butterfly`` -- ``pair`` steps only when P is a power of two, which leaves
   R (and every tree node) replicated, so the apply phase needs *no*
@@ -94,62 +98,68 @@ def _flops_wy_build(m: int, b: int, nb: int) -> float:
 
 @dataclass
 class LocalQR:
-    """Packed Householder QR of one block, zero-padded to at least b rows.
+    """Packed Householder QR of one m x b block at its true height: k =
+    min(m, b) reflectors and a k x b upper trapezoidal R.
 
-    ``qr`` is the padded block's reflectors and R in LAPACK dgeqrf's layout:
+    ``qr`` is the block's reflectors and R in LAPACK dgeqrf's layout:
     dgeqrf's own output, or on tall panels (`_wy_route`) dgeqrt's factored
     block.  ``t`` is that T (None on dgeqrf blocks); where it is kept, `apply`
     runs dgemqrt on it instead of dormqr, and `explicit_q` builds Q for a
     triangle from it instead of dorgqr.  ``tau`` is dgeqrf's, for dormqr and
-    dorgqr, and None where T is kept (its tau are T's diagonals).  ``signs``
-    flips reflector columns so the stored R has a nonnegative diagonal;
-    ``rows`` is the original (unpadded) row count, which may be anything
-    >= 0 -- zero-row blocks contribute R = 0.
+    dorgqr, and None where T is kept or the block has no rows.  ``signs``
+    flips reflector columns so the stored R has a nonnegative diagonal.  A
+    block without rows has no reflectors, which LAPACK rejects, so no kernel
+    is called for it.
     """
 
     qr: np.ndarray
     tau: np.ndarray | None
     signs: np.ndarray
-    rows: int
     t: np.ndarray | None = None
 
     @property
     def b(self) -> int:
         return self.qr.shape[1]
 
+    @property
+    def k(self) -> int:
+        return self.signs.size
+
     def r(self) -> np.ndarray:
-        """The sign-fixed R: ``np.triu`` of the top b x b block times the signs,
-        the entries below the diagonal zeros of their row's sign."""
-        b = self.b
-        r = np.where(_strict_lower(b), 0.0, self.qr[:b, :b])
+        """The sign-fixed k x b R: ``np.triu`` of the top k rows times the
+        signs, the entries below the diagonal zeros of their row's sign."""
+        k = self.k
+        r = np.where(_strict_lower(self.b)[:k], 0.0, self.qr[:k])
         np.multiply(r, self.signs[:, None], out=r)
         return r
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        """``Q @ [c; 0]`` for a b-row block ``c``, trimmed to `rows` rows."""
+        """``Q @ c`` for a k-row block ``c``: the block's m rows."""
         c = np.asarray(c, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] != self.b:
-            raise ShapeError(f"expected a ({self.b}, k) block, got {c.shape}")
+        k = self.k
+        if c.ndim != 2 or c.shape[0] != k:
+            raise ShapeError(f"expected a ({k}, n) block, got {c.shape}")
         x = np.zeros((self.qr.shape[0], c.shape[1]), order="F")
-        np.multiply(self.signs[:, None], c, out=x[: self.b])
+        np.multiply(self.signs[:, None], c, out=x[:k])
+        info = 0
         if self.t is not None:
             info = _kernels.dgemqrt(self.qr, self.t, x)
-        else:
+        elif k:
             # dormqr's workspace query answers ncols * nb + 65 * 64 for its
             # block size nb <= 64; the bound at nb = 64 keeps the blocked path
-            # without a query call per apply
+            # without a query call per apply.  k is qr's column count to it.
             lwork = max(1, c.shape[1]) * 64 + 65 * 64
-            x, _, info = lapack.dormqr("L", "N", self.qr, self.tau, x, lwork, overwrite_c=1)
+            x, _, info = lapack.dormqr("L", "N", self.qr[:, :k], self.tau, x, lwork, overwrite_c=1)
         if info != 0:
             raise NumericError(f"applying Q failed with info={info}")
-        return x[: self.rows]
+        return x
 
     def explicit_q(self, c: np.ndarray | None = None) -> np.ndarray:
-        """``Q @ [c; 0]`` for an upper-triangular b x b block ``c``, trimmed to
-        `rows` rows; the thin orthonormal factor itself when ``c`` is None.
+        """``Q @ c`` for an upper-triangular k x k block ``c``; the thin
+        orthonormal factor itself (m x k) when ``c`` is None.
 
         Entries below c's diagonal are ignored.  dgeqrf blocks run dorgqr,
-        then dtrmm by ``c``.  With T kept, the build starts from ``[S c; 0]``
+        then dtrmm by ``c``.  With T kept (k = b), the build starts from ``[S c; 0]``
         (S the sign diagonal, the identity when ``c`` is None) and applies the
         reflector blocks last to first.  Block j (ib reflectors) touches rows
         j: only, where the columns left of it still vanish; dgemqrt applies
@@ -160,18 +170,20 @@ class LocalQR:
         reflectors and V2 their rows below it.  That is about 2 m b^2 flops
         (`_flops_wy_build`), with no identity columns pushed through dgemqrt.
         """
-        b = self.b
+        k = self.k
         if c is not None:
             c = np.asarray(c, dtype=np.float64)
-            if c.shape != (b, b):
-                raise ShapeError(f"expected a ({b}, {b}) triangle, got {c.shape}")
+            if c.shape != (k, k):
+                raise ShapeError(f"expected a ({k}, {k}) triangle, got {c.shape}")
         if self.t is None:
-            q, _, info = lapack.dorgqr(self.qr, self.tau)  # scipy forms Q in a copy
+            if not k:
+                return np.zeros((self.qr.shape[0], 0))
+            q, _, info = lapack.dorgqr(self.qr[:, :k], self.tau)  # scipy forms Q in a copy
             if info != 0:
                 raise NumericError(f"forming Q failed with info={info}")
-            q = q[: self.rows] * self.signs[None, :]
+            q = q * self.signs[None, :]
             return q if c is None else _kernels.dtrmm(1.0, c, q, side=1, overwrite_b=1)
-        v, t = self.qr, self.t
+        v, t, b = self.qr, self.t, k
         m, nb = v.shape[0], t.shape[0]
         q = np.empty((m, b), order="F")  # every entry is written before it is read
         q[:b] = np.diag(self.signs) if c is None else self.signs[:, None] * c
@@ -186,7 +198,7 @@ class LocalQR:
             w = blas.dtrmm(1.0, t[:ib, j : j + ib], w, overwrite_b=1)
             q[j : j + ib, j : j + ib] = c1 - blas.dtrmm(1.0, v1, w, lower=1, diag=1)
             _kernels.dgemm_into(-1.0, v[j + ib :, j : j + ib], w, q[j + ib :, j : j + ib])
-        return q[: self.rows]
+        return q
 
 
 #: Block size of the compact-WY leaf factorization.
@@ -239,12 +251,11 @@ def _wy_route(m: int, b: int) -> bool:
 
 
 def local_qr(block, overwrite_a: bool = False) -> tuple:
-    """Sign-fixed Householder QR of a local block.
+    """Sign-fixed Householder QR of a local m x b block at its true height.
 
-    Returns ``(LocalQR, R)`` with R upper triangular, b x b, nonnegative
-    diagonal.  Blocks with fewer rows than columns (including zero rows) are
-    padded with zero rows so R is always full size.  With ``overwrite_a`` a
-    writable F-ordered float64 block of at least b rows is factored in place
+    Returns ``(LocalQR, R)`` with R the k x b upper trapezoid, k = min(m, b),
+    with a nonnegative diagonal; a block without rows gives a 0 x b R.  With
+    ``overwrite_a`` a writable F-ordered float64 block is factored in place
     and becomes the factor's ``qr``; any other block is copied first.
     """
     a = np.asarray(block, dtype=np.float64)
@@ -255,26 +266,18 @@ def local_qr(block, overwrite_a: bool = False) -> tuple:
         raise ShapeError("blocks must have at least one column")
     if not np.isfinite(a).all():
         raise NumericError("non-finite entries in QR input")
-    if m < b:
-        af = np.zeros((b, b), order="F")
-        af[:m] = a
-    elif overwrite_a and a.flags.f_contiguous and a.flags.writeable:
+    if overwrite_a and a.flags.f_contiguous and a.flags.writeable:
         af = a
     else:
         af = np.array(a, order="F", copy=True)
-    if _wy_route(*af.shape):
+    t, tau, info = None, None, 0
+    if _wy_route(m, b):
         t, info = _kernels.dgeqrt(af, _WY_NB)
-        if info != 0:
-            raise NumericError(f"dgeqrt failed with info={info}")
-        qr, tau = af, None
-    else:
-        t = None
-        qr, tau, _, info = lapack.dgeqrf(af, overwrite_a=1)
-        if info != 0:
-            raise NumericError(f"dgeqrf failed with info={info}")
-    diag = np.diagonal(qr)[:b]
-    signs = np.where(diag < 0, -1.0, 1.0)
-    fac = LocalQR(qr, tau, signs, rows=m, t=t)
+    elif m:  # LAPACK rejects a block without rows
+        af, tau, _, info = lapack.dgeqrf(af, overwrite_a=1)
+    if info != 0:
+        raise NumericError(f"QR of a {m} x {b} block failed with info={info}")
+    fac = LocalQR(af, tau, np.where(np.diagonal(af) < 0, -1.0, 1.0), t)
     return fac, fac.r()
 
 
@@ -282,6 +285,7 @@ def local_qr(block, overwrite_a: bool = False) -> tuple:
 class _TreeNode:
     level: int
     top_is_self: bool
+    split: int  # rows of the top part of the stack
     fac: LocalQR
     child: int | None = None
 
@@ -291,17 +295,15 @@ class TSQRFactor:
     """Implicit orthonormal factor: leaf QR + tree of stacked-pair QRs.
 
     ``tree`` holds this rank's tree nodes in factor order, one per ``pair``
-    or ``child`` exchange of its `_schedule`; a node with a ``child`` hands
-    that rank its half of the block during apply.  ``star`` is the
-    butterfly's non-power-of-two cleanup node on partner ranks, kept apart
-    from the butterfly levels.  ``parent`` is the rank this one shipped its
-    R to (None on ranks that never do).  ``shape`` records
-    ``(local rows, b, P, p)``.
+    or ``child`` exchange of its `_schedule` (on the butterfly's partner
+    ranks, the non-power-of-two cleanup node comes first); a node with a
+    ``child`` hands that rank its rows of the block during apply.
+    ``parent`` is the rank this one shipped its R to (None on ranks that
+    never do).  ``shape`` records ``(local rows, b, P, p)``.
     """
 
     leaf: LocalQR
     tree: list = field(default_factory=list)
-    star: _TreeNode | None = None
     shape: tuple = (0, 0, 1, 0)
     parent: int | None = None
 
@@ -348,8 +350,8 @@ def tsqr_factor(local_block, comm: Communicator, variant: str = "butterfly"):
         raise ContractError(f"unknown TSQR variant {variant!r}; pick from {VARIANTS}")
     a = np.asarray(local_block, dtype=np.float64)
     leaf, r = local_qr(a)
-    comm.trace.add_flops(_flops_geqrf(max(leaf.rows, leaf.b), leaf.b))
-    P, p, b = comm.size, comm.rank, leaf.b
+    (m, b), P, p = a.shape, comm.size, comm.rank
+    comm.trace.add_flops(_flops_geqrf(m, b))
     tree, parent = [], None
     for level, peer, role in _schedule(variant, P, p):
         if role == "parent":
@@ -358,29 +360,31 @@ def tsqr_factor(local_block, comm: Communicator, variant: str = "butterfly"):
             break
         r_peer = comm.sendrecv(peer, r if role == "pair" else np.zeros(0))
         top = role == "child" or p < peer
-        node = np.empty((2 * b, b), order="F")  # the stacked triangles, factored in place
-        node[:b], node[b:] = (r, r_peer) if top else (r_peer, r)
+        upper, lower = (r, r_peer) if top else (r_peer, r)
+        node = np.empty((len(upper) + len(lower), b), order="F")  # factored in place
+        node[: len(upper)], node[len(upper) :] = upper, lower
         fac, r = local_qr(node, overwrite_a=True)
-        comm.trace.add_flops(_flops_geqrf(2 * b, b))
-        tree.append(_TreeNode(level, top, fac, peer if role == "child" else None))
-    star = None
+        comm.trace.add_flops(_flops_geqrf(*node.shape))
+        tree.append(_TreeNode(level, top, len(upper), fac, peer if role == "child" else None))
     if variant == "butterfly":
         # a rank folded in above the largest power of two gets the final R back
         if parent is not None:
             r = comm.sendrecv(parent, np.zeros(0))
         elif tree and tree[0].child is not None:
-            star = tree.pop(0)
-            comm.sendrecv(star.child, r)
-    return TSQRFactor(leaf, tree, star, (leaf.rows, b, P, p), parent), r
+            comm.sendrecv(tree[0].child, r)
+    if r is not None and len(r) < b:  # fewer global rows than columns
+        r = np.vstack([r, np.zeros((b - len(r), b))])
+    return TSQRFactor(leaf, tree, (m, b, P, p), parent), r
 
 
 def tsqr_apply_q(factor: TSQRFactor, c, comm: Communicator) -> np.ndarray:
-    """Apply the implicit Q to a b-row block: returns the local rows of Q @ [c; 0].
+    """Apply the implicit Q to a b-row block: returns the local rows of Q @ c.
 
     The block starts from ``c`` on ranks without a parent and arrives from
     the parent elsewhere; it then descends this rank's tree nodes in reverse
-    factor order.  With ``c = I_b`` this materializes the thin Q.  Whenever
-    the block that reaches the leaf is structurally upper triangular (on any
+    factor order at each node's true height; a short root takes ``c``'s first
+    rows only.  With ``c = I_b`` this materializes the thin Q.  Whenever
+    a b-row block reaching the leaf is structurally upper triangular (on any
     rank; the identity included), the leaf takes the cheaper explicit-Q
     route: 2mb^2 instead of dormqr's 4mb^2.
     """
@@ -388,41 +392,35 @@ def tsqr_apply_q(factor: TSQRFactor, c, comm: Communicator) -> np.ndarray:
     if c2.ndim != 2 or c2.shape[0] != factor.b:
         raise ShapeError(f"expected a ({factor.b}, k) block, got {c2.shape}")
     P, p = factor.shape[2], factor.shape[3]
-    b = factor.b
     if P > 1:
         if comm is None:
             raise ContractError("a multi-rank factor needs its communicator to apply")
         if (comm.size, comm.rank) != (P, p):
             raise ContractError("factor belongs to a different communicator layout")
 
-    block = c2 if factor.parent is None else comm.sendrecv(factor.parent, np.zeros(0))
-    star = [] if factor.star is None else [factor.star]
-    for node in reversed(star + factor.tree):
+    top = factor.tree[-1].fac if factor.tree else factor.leaf
+    block = c2[: top.k] if factor.parent is None else comm.sendrecv(factor.parent, np.zeros(0))
+    for node in reversed(factor.tree):
         both = node.fac.apply(block)
-        comm.trace.add_flops(_flops_ormqr(2 * b, block.shape[1], b))
+        comm.trace.add_flops(_flops_ormqr(len(both), block.shape[1], node.fac.k))
         if node.child is not None:
-            comm.sendrecv(node.child, both[b:])
-        block = both[:b] if node.top_is_self else both[b:]
-    return _apply_leaf(factor.leaf, block, comm)
-
-
-def _apply_leaf(leaf: LocalQR, block: np.ndarray, comm) -> np.ndarray:
-    m_pad = leaf.qr.shape[0]
-    b = leaf.b
-    if _is_upper_triangular(block):
-        c = None if _is_identity(block) else block
-        out = leaf.explicit_q(c)
+            comm.sendrecv(node.child, both[node.split :])
+        block = both[: node.split] if node.top_is_self else both[node.split :]
+    leaf, (m, b) = factor.leaf, factor.leaf.qr.shape
+    if len(block) == b and _is_upper_triangular(block):
+        tri = None if _is_identity(block) else block
+        out = leaf.explicit_q(tri)
         if comm is not None:
             if leaf.t is not None:
-                comm.trace.add_flops(_flops_wy_build(m_pad, b, leaf.t.shape[0]))
+                comm.trace.add_flops(_flops_wy_build(m, b, leaf.t.shape[0]))
             else:
-                comm.trace.add_flops(_flops_orgqr(m_pad, b, b))
-                if c is not None:
-                    comm.trace.add_flops(float(out.shape[0]) * b * b)
+                comm.trace.add_flops(_flops_orgqr(m, b, b))
+                if tri is not None:
+                    comm.trace.add_flops(float(m) * b * b)
         return out
     out = leaf.apply(block)
     if comm is not None:
-        comm.trace.add_flops(_flops_ormqr(m_pad, block.shape[1], b))
+        comm.trace.add_flops(_flops_ormqr(m, block.shape[1], leaf.k))
     return out
 
 

@@ -82,26 +82,34 @@ def _check_split_identity(quick: bool):
 
 
 def _check_tsqr(quick: bool):
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((60, 5))
-    _, r_ref = reference_qr(a)
-    worst = 0.0
+    """Both trees on a full-rank 60 x 5 panel against the Householder R, and
+    on a rank-4 12 x 8 panel whose every leaf is shorter than it is wide:
+    Q R = A and the gathered Q is orthonormal."""
     from .comm import run_spmd
 
+    full_rank = np.random.default_rng(7).standard_normal((60, 5))
+    low = np.random.default_rng(0)
+    deficient = low.standard_normal((12, 4)) @ low.standard_normal((4, 8))
+    _, r_ref = reference_qr(full_rank)
+    cases = [(full_rank, p) for p in ((3,) if quick else (2, 3, 5))]
+    cases += [(deficient, p) for p in ((4,) if quick else (4, 5))]
+    worst = 0.0
     for variant in ("butterfly", "binomial"):
-        for p in (3,) if quick else (2, 3, 5):
+        for a, p in cases:
             def body(comm):
-                lo, hi = parallel.block_bounds(60, comm.size, comm.rank)
+                lo, hi = parallel.block_bounds(len(a), comm.size, comm.rank)
                 fac, r = tsqr_factor(a[lo:hi], comm, variant=variant)
-                q = tsqr_apply_q(fac, np.eye(5), comm)
+                q = tsqr_apply_q(fac, np.eye(a.shape[1]), comm)
                 return r, q
 
             runs = run_spmd(p, body)
             rs = [r for r, _ in runs.results if r is not None]
             qs = np.vstack([q for _, q in runs.results])
-            worst = max(worst, max(float(np.abs(r - r_ref).max()) for r in rs))
+            if a is full_rank:
+                worst = max(worst, max(float(np.abs(r - r_ref).max()) for r in rs))
             worst = max(worst, float(np.abs(qs @ rs[0] - a).max()))
-    return worst <= 1e-12, f"max QR deviation {worst:.2e} (tol 1e-12)"
+            worst = max(worst, float(np.abs(qs.T @ qs - np.eye(a.shape[1])).max()))
+    return worst <= 1e-12, f"max QR/orthonormality deviation {worst:.2e} (tol 1e-12)"
 
 
 def _check_orthonormalize(quick: bool):

@@ -62,15 +62,17 @@ def test_local_qr_matches_reference():
 
 
 def test_local_qr_short_and_empty_blocks():
-    """Blocks with fewer rows than columns (even zero) still yield b x b R."""
+    """Blocks with fewer rows than columns (even zero) yield their k x b
+    trapezoid R, k = min(m, b), with no padding."""
     rng = np.random.default_rng(2)
     a = rng.standard_normal((2, 5))
     fac, r = local_qr(a)
-    assert r.shape == (5, 5)
+    assert r.shape == (2, 5)
     assert np.allclose(fac.apply(r), a, atol=1e-13)
-    fac0, r0 = local_qr(np.zeros((0, 4)))
-    assert r0.shape == (4, 4) and not r0.any()
-    assert fac0.apply(np.eye(4)).shape == (0, 4)
+    a0 = np.zeros((0, 4))
+    fac0, r0 = local_qr(a0)
+    assert r0.shape == (0, 4)
+    assert np.array_equal(fac0.apply(r0), a0)
 
 
 def test_local_qr_rejects_nonfinite():
@@ -390,6 +392,44 @@ def test_apply_general_block_roundtrip(nranks, variant):
     assert np.allclose(got, q @ c, atol=1e-12)
 
 
+def _low_rank(m, b, rank, seed=0):
+    """An m x b panel of rank ``rank``, built as `verify._check_tsqr` builds
+    its rank-deficient panel."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, b))
+
+
+@pytest.mark.parametrize("variant", ["butterfly", "binomial"])
+@pytest.mark.parametrize("shape,rank,nranks", [((12, 8), 4, 4), ((12, 8), 4, 5),
+                                               ((10, 6), 3, 5)])
+def test_short_leaves_keep_rank_deficient_q_orthonormal(variant, shape, rank, nranks):
+    """A rank-deficient panel whose every leaf is shorter than the panel is
+    wide: the gathered Q is orthonormal and Q R = A.  Zero-padded leaves
+    once let the tree's Q put weight on the padded rows (0.19 to 0.37 here)."""
+    a = _low_rank(*shape, rank)
+    assert all(len(blk) < shape[1] for blk in row_blocks(a, nranks))
+    q, rs, _ = tsqr_gathered(a, nranks, variant)
+    assert np.abs(q.T @ q - np.eye(shape[1])).max() <= 1e-12
+    assert np.abs(q @ rs[0] - a).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", ["butterfly", "binomial"])
+@pytest.mark.parametrize("nranks", [1, 2, 3])
+def test_short_root_pads_r_and_reads_the_first_rows(variant, nranks):
+    """A 3 x 5 panel: R is padded to 5 x 5 with zero rows, the columns of Q
+    past the panel's 3 rows are zero, and Q @ c reads only c's first rows."""
+    rng = np.random.default_rng(29)
+    a, c = rng.standard_normal((3, 5)), rng.standard_normal((5, 2))
+    q, rs, _ = tsqr_gathered(a, nranks, variant)
+    got, _, _ = tsqr_gathered(a, nranks, variant, c=c)
+    for r in rs:
+        assert r.shape == (5, 5) and not r[3:].any()
+    assert not q[:, 3:].any()
+    assert np.abs(q[:, :3].T @ q[:, :3] - np.eye(3)).max() <= 1e-14
+    assert np.abs(q @ rs[0] - a).max() <= 1e-14
+    assert np.abs(got - q[:, :3] @ c[:3]).max() <= 1e-14
+
+
 def test_r_is_distribution_invariant():
     """Bitwise-identical R regardless of P (sign fixing makes R unique)."""
     rng = np.random.default_rng(4)
@@ -454,13 +494,13 @@ def test_nonpowitwo_message_counts_and_levels():
         fac, _ = tsqr_factor(blocks[comm.rank], comm)
         with comm.trace.phase("apply"):
             tsqr_apply_q(fac, np.eye(3), comm)
-        return len(fac.tree), fac.star is not None
+        return len(fac.tree), bool(fac.tree) and fac.tree[0].child is not None
 
     run = run_spmd(5, body)
     levels = [res[0] for res in run.results]
-    has_star = [res[1] for res in run.results]
-    assert levels == [2, 2, 2, 2, 0]
-    assert has_star == [True, False, False, False, False]
+    has_cleanup = [res[1] for res in run.results]
+    assert levels == [3, 2, 2, 2, 0]
+    assert has_cleanup == [True, False, False, False, False]
     per_rank = message_trace(run)
     apply_msgs = [phases.get("apply", (0, 0))[0] for phases in per_rank]
     assert apply_msgs == [1, 0, 0, 0, 1]

@@ -4,11 +4,8 @@ whose ranks disagree, and the environment of child processes."""
 import os
 import threading
 
-import numpy as np
-
 import ttpar
-from ttpar import RoundingOptions, TTTensor, distribute, parallel, random_tt, round_tt, run_spmd
-from ttpar.core import TTCore
+from ttpar import RoundingOptions, distribute, ops, parallel, random_tt, round_tt, run_spmd
 
 
 def redundant_pair(dims, rank, seed):
@@ -18,28 +15,7 @@ def redundant_pair(dims, rank, seed):
     standard rank-recovery and L = R/2 cost-regime fixture.
     """
     x = random_tt(dims, (1,) + (rank,) * (len(dims) - 1) + (1,), seed)
-    N = len(dims)
-    cores = []
-    for n, c in enumerate(x.cores):
-        a = c.array
-        rl, d, rr = a.shape
-        if N == 1:
-            cores.append(TTCore(a.copy()))
-            continue
-        if n == 0:
-            z = np.zeros((1, d, 2 * rr), order="F")
-            z[:, :, :rr] = 2.0 * a
-            z[:, :, rr:] = -a
-        elif n == N - 1:
-            z = np.zeros((2 * rl, d, 1), order="F")
-            z[:rl] = a
-            z[rl:] = a
-        else:
-            z = np.zeros((2 * rl, d, 2 * rr), order="F")
-            z[:rl, :, :rr] = a
-            z[rl:, :, rr:] = a
-        cores.append(TTCore(z))
-    return x, TTTensor(cores)
+    return x, ops.add(ops.scale(x, 2.0), ops.scale(x, -1.0))
 
 
 def round_with_short_rank1(nranks, variant="LRLI"):
