@@ -15,7 +15,6 @@ from .comm import (
     run_spmd,
 )
 from .core import (
-    DenseTensor,
     TTCore,
     TTTensor,
     entry,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostModelParams",
-    "DenseTensor",
     "DistTTTensor",
     "KroneckerOperator",
     "RoundingOptions",

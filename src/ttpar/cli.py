@@ -52,14 +52,8 @@ class SyntheticModel:
     """A named benchmark shape.  Mode sizes scale; ranks never do."""
 
     name: str
-    N: int
     dims: tuple
     ranks: tuple
-    description: str
-
-    def __post_init__(self):
-        if self.N != len(self.dims) or len(self.ranks) != self.N + 1:
-            raise ContractError(f"model {self.name!r} shape fields are inconsistent")
 
     def scaled_dims(self, factor: float) -> tuple:
         # Shrinking only the mode sizes (floor, never below 4) keeps the
@@ -74,13 +68,9 @@ def _flat_ranks(n_modes: int, r: int) -> tuple:
 
 
 MODELS = {
-    1: SyntheticModel("model1", 50, (2000,) * 50, _flat_ranks(50, 50),
-                      "50 modes of 2000, rank 50; single-node size unscaled"),
-    2: SyntheticModel("model2", 16, (10**8,) + (50_000,) * 14 + (10**6,),
-                      _flat_ranks(16, 30),
-                      "first/last modes 1e8/1e6 with 14 modes of 5e4 between, rank 30"),
-    3: SyntheticModel("model3", 30, (2_000_000,) * 30, _flat_ranks(30, 30),
-                      "30 modes of 2e6, rank 30; beyond single-node memory unscaled"),
+    1: SyntheticModel("model1", (2000,) * 50, _flat_ranks(50, 50)),
+    2: SyntheticModel("model2", (10**8,) + (50_000,) * 14 + (10**6,), _flat_ranks(16, 30)),
+    3: SyntheticModel("model3", (2_000_000,) * 30, _flat_ranks(30, 30)),
 }
 
 
@@ -91,6 +81,8 @@ def _tensor_doubles(dims, ranks) -> int:
 def _footprint_doubles(op: str, dims, ranks) -> int:
     """Float64 count of inputs plus output; transient workspace excluded."""
     base = _tensor_doubles(dims, ranks)
+    if op == "gen":  # the one tensor it writes
+        return base
     doubled = (1,) + tuple(2 * r for r in ranks[1:-1]) + (1,)
     if op == "round":
         # x, the redundant input 2x - x, and an output at most that large
@@ -101,9 +93,7 @@ def _footprint_doubles(op: str, dims, ranks) -> int:
         # each product core is written once, in place: no full-core temporary is left out
         product = tuple(r * r for r in ranks)
         return 2 * base + _tensor_doubles(dims, product)
-    if op == "dot":
-        return 2 * base
-    return 2 * base  # norm, ortho: the tensor plus one working copy
+    return 2 * base  # dot: two operands; norm, ortho: the tensor and one working copy
 
 
 def _check_footprint(op: str, dims, ranks, guard_gib: float) -> None:
@@ -254,12 +244,7 @@ def _cmd_run(args) -> int:
 def _cmd_gen(args) -> int:
     model = MODELS[args.model]
     dims = model.scaled_dims(args.scale)
-    need = _tensor_doubles(dims, model.ranks) * 8 / 2**30
-    if need > args.mem_guard:
-        raise CapacityError(
-            f"tensor of {need:.2f} GiB exceeds the {args.mem_guard:.2f} GiB "
-            "guard; lower --scale or raise --mem-guard"
-        )
+    _check_footprint("gen", dims, model.ranks, args.mem_guard)
     t = random_tt(dims, model.ranks, args.seed)
     out = args.out or f"{model.name}.tt"
     save_tt(out, t)

@@ -16,7 +16,8 @@ are both zero-copy views of the same buffer.  Rows of ``V`` pair the left rank
 index (fastest) with the mode index; columns of ``H`` pair the mode index
 (fastest) with the right rank index.
 
-The module also provides dense oracles (`entry`, `full`), deterministic random
+The module also provides dense oracles (`entry` for one entry, `full` for the
+whole tensor as a plain Fortran-ordered ndarray), deterministic random
 generation keyed per slice (so distributed generation can reproduce it
 bitwise), a structural identity check used to validate the layout algebra, and
 a small binary file format.
@@ -34,7 +35,7 @@ against numpy's own `SeedSequence` and raises `CapabilityError` on a mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 from math import prod
 
 import numpy as np
@@ -150,47 +151,6 @@ class TTTensor:
         return f"TTTensor(dims={self.dims}, ranks={self.ranks})"
 
 
-@dataclass
-class DenseTensor:
-    """A dense N-way array stored flat in column-major linearization."""
-
-    dims: tuple
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.data = np.asarray(self.data, dtype=np.float64).ravel()
-        if self.data.size != prod(self.dims):
-            raise ShapeError(
-                f"flat data has {self.data.size} entries, dims {self.dims} "
-                f"need {prod(self.dims)}"
-            )
-
-    @classmethod
-    def from_array(cls, a) -> "DenseTensor":
-        a = np.asarray(a, dtype=np.float64)
-        return cls(tuple(a.shape), np.ravel(a, order="F"))
-
-    def as_array(self) -> np.ndarray:
-        return self.data.reshape(self.dims, order="F")
-
-    def __getitem__(self, idx) -> float:
-        return float(self.data[_linear_index(self.dims, idx)])
-
-
-def _linear_index(dims, idx) -> int:
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != len(dims):
-        raise BoundsError(f"index {idx} has wrong length for dims {dims}")
-    lin, stride = 0, 1
-    for i, d in zip(idx, dims):
-        if not 0 <= i < d:
-            raise BoundsError(f"index {idx} out of bounds for dims {dims}")
-        lin += i * stride
-        stride *= d
-    return lin
-
-
 def entry(t: TTTensor, idx) -> float:
     """Evaluate one entry as the left-to-right chain of vector-matrix products."""
     idx = tuple(int(i) for i in idx)
@@ -205,8 +165,8 @@ def entry(t: TTTensor, idx) -> float:
     return float(v[0])
 
 
-def full(t: TTTensor, max_entries: int = DEFAULT_FULL_CAPACITY) -> DenseTensor:
-    """Materialize the whole tensor.
+def full(t: TTTensor, max_entries: int = DEFAULT_FULL_CAPACITY) -> np.ndarray:
+    """Materialize the whole tensor as a Fortran-ordered array of shape ``dims``.
 
     Shares every arithmetic step with `entry` -- the evaluation is a
     depth-first sweep over mode indices that carries the same prefix vector
@@ -249,7 +209,7 @@ def full(t: TTTensor, max_entries: int = DEFAULT_FULL_CAPACITY) -> DenseTensor:
         sl0, st0 = slices[0], strides[0]
         for i in range(dims[0]):
             sweep(1, i * st0, t.cores[0].array[0, i, :])
-    return DenseTensor(dims, out)
+    return out.reshape(dims, order="F")
 
 
 def _check_chain(dims, ranks):
@@ -481,7 +441,7 @@ def verify_quadprod(t: TTTensor, n: int, max_entries: int = DEFAULT_FULL_CAPACIT
     m_rows = prod(dims[:n])
     i_next = dims[n]
     k_rest = prod(dims[n + 1:])
-    lhs = dense.data.reshape((m_rows, i_next, k_rest), order="F")
+    lhs = dense.reshape((m_rows, i_next, k_rest), order="F")
     lhs = lhs.reshape(m_rows, i_next * k_rest)  # C-order: trailing modes fastest
 
     q = _left_chain(t.cores, n - 1)
@@ -508,26 +468,39 @@ def save_tt(path, t: TTTensor) -> None:
 
 
 def load_tt(path) -> TTTensor:
-    """Read a TT tensor written by `save_tt` (bitwise round trip)."""
+    """Read a TT tensor written by `save_tt` (bitwise round trip).
+
+    Any malformed file raises `ShapeError`: each header field is read at its
+    exact length, and the file's size must equal the byte count the header
+    implies before any core is read.
+    """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(count: int, dtype: str, what: str) -> np.ndarray:
+            raw = f.read(8 * count)
+            if len(raw) != 8 * count:
+                raise ShapeError(f"TT file truncated in {what}")
+            return np.frombuffer(raw, dtype=dtype)
+
         magic = f.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ShapeError(f"{path!r} is not a TT file (bad magic {magic!r})")
-        (ndim,) = np.frombuffer(f.read(8), dtype="<u8")
-        ndim = int(ndim)
+        ndim = int(read(1, "<u8", "the mode count")[0])
         if ndim < 1:
             raise ShapeError("TT file header declares zero modes")
-        dims = np.frombuffer(f.read(8 * ndim), dtype="<u8").astype(int)
-        ranks = np.frombuffer(f.read(8 * (ndim + 1)), dtype="<u8").astype(int)
+        header = len(_MAGIC) + 8 * (2 * ndim + 2)
+        if header > size:
+            raise ShapeError(f"TT file of {size} bytes is too short for a {ndim}-mode header")
+        dims = [int(d) for d in read(ndim, "<u8", "the dims")]
+        ranks = [int(r) for r in read(ndim + 1, "<u8", "the ranks")]
         dims_t, ranks_t = _check_chain(dims, ranks)
-        cores = []
-        for k in range(ndim):
-            count = ranks_t[k] * dims_t[k] * ranks_t[k + 1]
-            raw = f.read(8 * count)
-            if len(raw) != 8 * count:
-                raise ShapeError(f"TT file truncated in core {k}")
-            flat = np.frombuffer(raw, dtype="<f8").copy()
-            cores.append(TTCore(flat.reshape((ranks_t[k], dims_t[k], ranks_t[k + 1]), order="F")))
-        if f.read(1):
-            raise ShapeError("trailing bytes after last core")
+        shapes = [(ranks_t[k], d, ranks_t[k + 1]) for k, d in enumerate(dims_t)]
+        need = header + 8 * sum(prod(shape) for shape in shapes)
+        if need != size:
+            raise ShapeError(f"TT file has {size} bytes, its header implies {need}")
+        cores = [
+            TTCore(read(prod(shape), "<f8", f"core {k}").copy().reshape(shape, order="F"))
+            for k, shape in enumerate(shapes)
+        ]
     return TTTensor(cores)

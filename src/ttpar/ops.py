@@ -37,6 +37,7 @@ from .parallel import (
     _qr_sweep,
     _sqrt_scaled,
     block_bounds,
+    distribute,
     orthonormalize,  # noqa: F401  (re-exported; perfbench/spans.py wraps ops.orthonormalize)
     round_tt,
 )
@@ -52,12 +53,12 @@ _GRAM_RESID_RTOL = 1e-6  # reconstruction residual that triggers the fallback
 
 def _enter(x, comm=None):
     """``(dt, leave)``: ``x`` as a `DistTTTensor`, and the function that
-    returns a result in x's flavor.  A `TTTensor` enters as a one-rank tensor
-    over its own core arrays (no copy) on ``comm``, or a new `SerialComm`."""
+    returns a result in x's flavor.  A `TTTensor` is `distribute`d on
+    ``comm``, or on a new `SerialComm`, whose one rank holds its core arrays."""
     if isinstance(x, DistTTTensor):
         return x, lambda dt: dt
     if isinstance(x, TTTensor):
-        dt = DistTTTensor(comm or SerialComm(), x.dims, x.ranks, [c.array for c in x.cores])
+        dt = distribute(x, comm or SerialComm())
         return dt, lambda out: TTTensor([TTCore(s) for s in out.local])
     raise ContractError(f"expected TTTensor or DistTTTensor, got {type(x).__name__}")
 
@@ -321,14 +322,15 @@ def _factor_step(tr, w):
     return partial(_sym_step, tr, f, triangular)
 
 
-def norm(x, method: str = "innerprod", return_info: bool = False):
+def norm(x, method: str = "innerprod") -> float:
     """Frobenius norm by one of three routes.
 
     ``innerprod`` takes sqrt(<x, x>); ``innerprod_sym`` propagates a Cholesky
     factor of the Gram carry (half the flops): dpotrf first, and dpstrf with
     a reconstruction check only when dpotrf meets a pivot that is not
     positive, as on the singular carries of an unrounded sum; it falls back
-    to ``innerprod`` with a warning if roundoff makes the carry indefinite.
+    to ``innerprod`` with a `UserWarning` if roundoff makes the carry
+    indefinite.
     ``ortho`` runs a right-to-left QR sweep that keeps its Q factors
     implicit and never applies them, and reads the norm off the first core:
     that core depends only on the triangles folded into it, so the value is
@@ -339,24 +341,18 @@ def norm(x, method: str = "innerprod", return_info: bool = False):
     """
     if method not in NORM_METHODS:
         raise ContractError(f"unknown norm method {method!r}; pick from {NORM_METHODS}")
-    info = {"method": method, "fallback": False}
     dt, _ = _enter(x)
     comm, slabs = dt.comm, dt.local
     tr = comm.trace
-    pair = partial(_pair_step, tr)
     if method == "ortho":
         # _qr_sweep writes nothing to its input, so sequential cores need no copy
-        val = _end_core_norm(comm, _qr_sweep(dt, _BACKWARD, implicit=True)[0][0])
-    elif method == "innerprod":
-        val = _sqrt_scaled(*_gram_recurrence(comm, zip(slabs, slabs), pair))
-    else:
+        return _end_core_norm(comm, _qr_sweep(dt, _BACKWARD, implicit=True)[0][0])
+    if method == "innerprod_sym":
         try:
-            val = _sqrt_scaled(*_gram_recurrence(comm, zip(slabs), partial(_factor_step, tr)))
+            return _sqrt_scaled(*_gram_recurrence(comm, zip(slabs), partial(_factor_step, tr)))
         except _IndefiniteGram as e:
             warnings.warn(f"innerprod_sym fell back to innerprod: {e}", stacklevel=2)
-            info["fallback"] = True
-            val = _sqrt_scaled(*_gram_recurrence(comm, zip(slabs, slabs), pair))
-    return (val, info) if return_info else val
+    return _sqrt_scaled(*_gram_recurrence(comm, zip(slabs, slabs), partial(_pair_step, tr)))
 
 
 @dataclass

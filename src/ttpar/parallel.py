@@ -108,21 +108,18 @@ class DistTTTensor:
         )
 
 
-def distribute(t: TTTensor, comm: Communicator, allow_idle: bool = False) -> DistTTTensor:
-    """Split a sequential tensor into row blocks across the communicator.
+def distribute(t: TTTensor, comm: Communicator) -> DistTTTensor:
+    """Lay a sequential tensor onto the communicator as row blocks.
 
-    Requires ``P <= min(dims)`` unless ``allow_idle`` lets trailing ranks hold
-    empty slabs on small modes.
+    Trailing ranks hold empty slabs on modes shorter than P.  Each slab is a
+    view of ``t``'s core where that view is already Fortran-ordered -- the
+    whole core at P = 1, so the result shares ``t``'s memory -- and a copy
+    otherwise.
     """
-    if comm.size > min(t.dims) and not allow_idle:
-        raise ContractError(
-            f"{comm.size} ranks exceed the smallest mode {min(t.dims)}; "
-            "pass allow_idle=True to accept idle ranks"
-        )
     slabs = []
-    for n, core in enumerate(t.cores):
+    for core in t.cores:
         lo, hi = block_bounds(core.dim, comm.size, comm.rank)
-        slabs.append(core.array[:, lo:hi, :].copy(order="F"))
+        slabs.append(core.array[:, lo:hi, :])
     return DistTTTensor(comm, t.dims, t.ranks, slabs)
 
 
@@ -500,5 +497,8 @@ def round_tt(dt: DistTTTensor, opts: RoundingOptions) -> DistTTTensor:
 
 
 def serial_tt(t: TTTensor) -> DistTTTensor:
-    """Wrap a sequential tensor as a one-rank distributed tensor."""
+    """Wrap a sequential tensor as a one-rank distributed tensor.
+
+    No core is copied: the result's slabs share memory with ``t``'s cores.
+    """
     return distribute(t, SerialComm())

@@ -58,8 +58,8 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from . import _kernels
-from .comm import Communicator, SpmdRun
-from .errors import CapabilityError, ContractError, NumericError, ShapeError
+from .comm import Communicator
+from .errors import ContractError, NumericError, ShapeError
 
 VARIANTS = ("butterfly", "binomial")
 
@@ -386,17 +386,15 @@ def tsqr_apply_q(factor: TSQRFactor, c, comm: Communicator) -> np.ndarray:
     rows only.  With ``c = I_b`` this materializes the thin Q.  Whenever
     a b-row block reaching the leaf is structurally upper triangular (on any
     rank; the identity included), the leaf takes the cheaper explicit-Q
-    route: 2mb^2 instead of dormqr's 4mb^2.
+    route: 2mb^2 instead of dormqr's 4mb^2.  ``comm`` must have the size and
+    rank the factor was made on, at every P; anything else, None included,
+    is a `ContractError`.  Flops go to its trace.
     """
     c2 = np.asarray(c, dtype=np.float64)
     if c2.ndim != 2 or c2.shape[0] != factor.b:
         raise ShapeError(f"expected a ({factor.b}, k) block, got {c2.shape}")
-    P, p = factor.shape[2], factor.shape[3]
-    if P > 1:
-        if comm is None:
-            raise ContractError("a multi-rank factor needs its communicator to apply")
-        if (comm.size, comm.rank) != (P, p):
-            raise ContractError("factor belongs to a different communicator layout")
+    if comm is None or (comm.size, comm.rank) != factor.shape[2:]:
+        raise ContractError("a TSQR factor applies only on the communicator layout it was made on")
 
     top = factor.tree[-1].fac if factor.tree else factor.leaf
     block = c2[: top.k] if factor.parent is None else comm.sendrecv(factor.parent, np.zeros(0))
@@ -409,19 +407,15 @@ def tsqr_apply_q(factor: TSQRFactor, c, comm: Communicator) -> np.ndarray:
     leaf, (m, b) = factor.leaf, factor.leaf.qr.shape
     if len(block) == b and _is_upper_triangular(block):
         tri = None if _is_identity(block) else block
-        out = leaf.explicit_q(tri)
-        if comm is not None:
-            if leaf.t is not None:
-                comm.trace.add_flops(_flops_wy_build(m, b, leaf.t.shape[0]))
-            else:
-                comm.trace.add_flops(_flops_orgqr(m, b, b))
-                if tri is not None:
-                    comm.trace.add_flops(float(m) * b * b)
-        return out
-    out = leaf.apply(block)
-    if comm is not None:
-        comm.trace.add_flops(_flops_ormqr(m, block.shape[1], leaf.k))
-    return out
+        if leaf.t is not None:
+            comm.trace.add_flops(_flops_wy_build(m, b, leaf.t.shape[0]))
+        else:
+            comm.trace.add_flops(_flops_orgqr(m, b, b))
+            if tri is not None:
+                comm.trace.add_flops(float(m) * b * b)
+        return leaf.explicit_q(tri)
+    comm.trace.add_flops(_flops_ormqr(m, block.shape[1], leaf.k))
+    return leaf.apply(block)
 
 
 # a sweep meets a few bond ranks; the bound keeps b^2-sized entries few
@@ -453,17 +447,3 @@ def _is_identity(c: np.ndarray) -> bool:
     eye = _identity(c.shape[0])
     return c.shape == eye.shape and bool((c == eye).all())
 
-
-def message_trace(run: SpmdRun):
-    """Per-rank, per-phase ``(messages, words)`` from a simulated run.
-
-    Only the simulated backend records traces; anything else is a capability
-    error.
-    """
-    if not isinstance(run, SpmdRun) or not run.traces:
-        raise CapabilityError("message traces are only available from simulated runs")
-    out = []
-    for tr in run.traces:
-        phases = sorted(set(tr.messages) | set(tr.words))
-        out.append({ph: (int(tr.messages.get(ph, 0)), int(tr.words.get(ph, 0))) for ph in phases})
-    return out

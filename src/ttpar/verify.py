@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ops, parallel
-from .comm import SerialComm
+from .comm import run_spmd
 from .core import TTTensor, entry, full, load_tt, random_tt, save_tt, verify_quadprod
 from .cost import chain_estimate, estimate
 from .parallel import RoundingOptions, distribute, gather, orthonormalize, round_tt
@@ -65,7 +65,7 @@ def _check_entry_full(quick: bool):
     for dims, ranks in shapes:
         t = random_tt(dims, ranks, seed=101)
         want = dense(t)
-        got = full(t).as_array()
+        got = full(t)
         worst = max(worst, float(np.abs(got - want).max()))
         idx = tuple(d - 1 for d in dims)
         worst = max(worst, abs(entry(t, idx) - want[idx]))
@@ -85,8 +85,6 @@ def _check_tsqr(quick: bool):
     """Both trees on a full-rank 60 x 5 panel against the Householder R, and
     on a rank-4 12 x 8 panel whose every leaf is shorter than it is wide:
     Q R = A and the gathered Q is orthonormal."""
-    from .comm import run_spmd
-
     full_rank = np.random.default_rng(7).standard_normal((60, 5))
     low = np.random.default_rng(0)
     deficient = low.standard_normal((12, 4)) @ low.standard_normal((4, 8))
@@ -113,8 +111,6 @@ def _check_tsqr(quick: bool):
 
 
 def _check_orthonormalize(quick: bool):
-    from .comm import run_spmd
-
     t = random_tt((5, 4, 6), (1, 3, 4, 1), seed=11)
     want = dense(t)
     worst = 0.0
@@ -124,7 +120,7 @@ def _check_orthonormalize(quick: bool):
             return gather(out)
 
         got = run_spmd(p, body).results[0]
-        worst = max(worst, np.linalg.norm(full(got).as_array() - want) / np.linalg.norm(want))
+        worst = max(worst, np.linalg.norm(full(got) - want) / np.linalg.norm(want))
         for n in range(1, 3):
             c = got.cores[n].array
             h = c.reshape((c.shape[0], -1), order="F")
@@ -133,8 +129,6 @@ def _check_orthonormalize(quick: bool):
 
 
 def _check_rounding(quick: bool):
-    from .comm import run_spmd
-
     worst_rel = 0.0
     ranks_ok = True
     for seed in range(1 if quick else 5):
@@ -148,7 +142,7 @@ def _check_rounding(quick: bool):
 
             ranks, got = run_spmd(2, body).results[0]
             ranks_ok &= all(r <= rx for r, rx in zip(ranks, x.ranks))
-            err = np.linalg.norm(full(got).as_array() - want) / np.linalg.norm(want)
+            err = np.linalg.norm(full(got) - want) / np.linalg.norm(want)
             worst_rel = max(worst_rel, err / max(eps0, 1e-15))
     ok = ranks_ok and worst_rel <= 1.0
     return ok, (
@@ -158,8 +152,6 @@ def _check_rounding(quick: bool):
 
 
 def _check_arithmetic(quick: bool):
-    from .comm import run_spmd
-
     worst = 0.0
     shapes = _QUICK_SHAPES if quick else _FULL_SHAPES
     for dims, ranks in shapes:
@@ -177,8 +169,8 @@ def _check_arithmetic(quick: bool):
             sums.append(s)
             products.append(h)
         for s, h in zip(sums, products):
-            worst = max(worst, np.linalg.norm(full(s).as_array() - (dx + dy)))
-            worst = max(worst, np.linalg.norm(full(h).as_array() - dx * dy))
+            worst = max(worst, np.linalg.norm(full(s) - (dx + dy)))
+            worst = max(worst, np.linalg.norm(full(h) - dx * dy))
         worst = max(worst, abs(ops.inner_product(x, y) - np.vdot(dx, dy)) / scale)
         for method in ("innerprod", "innerprod_sym", "ortho"):
             worst = max(
@@ -187,7 +179,7 @@ def _check_arithmetic(quick: bool):
         shift = sp.diags([1.0], [1], shape=(dims[0], dims[0]), format="csr")
         factors = [shift] + [sp.identity(d, format="csr") for d in dims[1:]]
         op = ops.KroneckerOperator(dims, [factors])
-        got = full(ops.apply_operator(op, x)).as_array()
+        got = full(ops.apply_operator(op, x))
         want = np.zeros_like(dx)
         want[:-1] = dx[1:]
         worst = max(worst, np.linalg.norm(got - want))

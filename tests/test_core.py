@@ -7,7 +7,6 @@ from ttpar.comm import SerialComm
 from ttpar.core import (
     _CHUNK_DRAWS,
     _KEY_CHUNK,
-    DenseTensor,
     TTCore,
     TTTensor,
     entry,
@@ -87,6 +86,7 @@ def test_full_matches_entry_bitwise():
         dims, ranks = random_chain(rng)
         t = random_tt(dims, ranks, seed=int(rng.integers(2**31)))
         dense = full(t)
+        assert dense.shape == dims and dense.flags.f_contiguous
         for _ in range(30):
             idx = tuple(int(rng.integers(d)) for d in dims)
             assert dense[idx] == entry(t, idx)
@@ -96,7 +96,7 @@ def test_full_single_mode():
     """A 1-mode train is just a vector."""
     t = random_tt((7,), (1, 1), seed=3)
     dense = full(t)
-    assert np.array_equal(dense.as_array(), t.cores[0].array[0, :, 0])
+    assert np.array_equal(dense, t.cores[0].array[0, :, 0])
     assert dense[(4,)] == entry(t, (4,))
 
 
@@ -266,20 +266,9 @@ def test_quadprod_detects_corruption():
     clean = random_tt((3, 4, 5), (1, 3, 3, 1), seed=12)
     mixed = TTTensor([t.cores[0], clean.cores[1], t.cores[2]])
     assert verify_quadprod(mixed, 1) < 1e-13  # self-consistent chain still passes
-    lhs_clean = full(clean).as_array()
-    lhs_dirty = full(t).as_array()
+    lhs_clean = full(clean)
+    lhs_dirty = full(t)
     assert not np.allclose(lhs_clean, lhs_dirty)
-
-
-def test_dense_tensor_roundtrip():
-    """DenseTensor keeps the column-major linearization stable."""
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((3, 4, 2))
-    dt = DenseTensor.from_array(a)
-    assert np.array_equal(dt.as_array(), a)
-    assert dt[(2, 3, 1)] == a[2, 3, 1]
-    with pytest.raises(ShapeError):
-        DenseTensor((3, 3), np.zeros(8))
 
 
 def test_save_load_roundtrip_bitwise(tmp_path):
@@ -298,14 +287,29 @@ def test_save_load_roundtrip_bitwise(tmp_path):
 
 
 def test_load_rejects_garbage(tmp_path):
-    """Bad magic and truncated files raise shape errors."""
+    """Bad magic, truncated files and every malformed header raise shape
+    errors; a header implying more bytes than the file holds is rejected
+    before any core is allocated or read."""
+    def u8(*vals):
+        return np.array(vals, dtype="<u8").tobytes()
+
     p = tmp_path / "bad.tt"
-    p.write_bytes(b"NOTATT" + b"\x00" * 64)
-    with pytest.raises(ShapeError):
-        load_tt(p)
     t = random_tt((3, 3), (1, 2, 1), seed=0)
-    p2 = tmp_path / "trunc.tt"
-    save_tt(p2, t)
-    p2.write_bytes(p2.read_bytes()[:-8])
-    with pytest.raises(ShapeError):
-        load_tt(p2)
+    save_tt(p, t)
+    good = p.read_bytes()
+    for blob in (
+        b"NOTATT" + b"\x00" * 64,
+        good[:-8],  # truncated last core
+        good + b"\x00",  # trailing byte
+        b"TTPAR1",  # magic only
+        b"TTPAR1" + u8(1)[:4],  # cut inside the mode count
+        b"TTPAR1" + u8(0),  # zero modes
+        b"TTPAR1" + u8(2**62) + u8(1, 1, 1),  # mode count past the file
+        b"TTPAR1" + u8(2, 3, 3, 1, 2),  # cut inside the ranks
+        b"TTPAR1" + u8(1, 2**61, 1, 1) + u8(0),  # one mode of 2^61
+        b"TTPAR1" + u8(1, 2**40, 1, 1) + u8(0),  # one mode of 2^40
+        b"TTPAR1" + u8(1, 2**64 - 1, 1, 1),  # a mode past int64
+    ):
+        p.write_bytes(blob)
+        with pytest.raises(ShapeError):
+            load_tt(p)

@@ -223,9 +223,7 @@ def test_norm_methods_agree_distributed():
     def body(comm):
         dx = distribute(x, comm)
         for method in ("innerprod", "innerprod_sym", "ortho"):
-            val, info = norm(dx, method, return_info=True)
-            assert val == pytest.approx(want, rel=1e-11)
-            assert not info["fallback"]
+            assert norm(dx, method) == pytest.approx(want, rel=1e-11)
 
     run_spmd(3, body)
 
@@ -236,8 +234,7 @@ def test_norm_sym_handles_rank_deficient_gram():
     # back) and still produce the right value.
     x, _ = pair(20)
     y = add(x, scale(x, 1.0))
-    val, info = norm(y, "innerprod_sym", return_info=True)
-    assert not info["fallback"]
+    val = norm(y, "innerprod_sym")
     assert val == pytest.approx(2 * np.linalg.norm(dense(x)), rel=1e-11)
 
 
@@ -250,8 +247,7 @@ def test_norm_sym_falls_back_on_indefinite_gram(monkeypatch):
 
     monkeypatch.setattr("ttpar.ops._gram_factor", boom)
     with pytest.warns(UserWarning, match="fell back"):
-        val, info = norm(x, "innerprod_sym", return_info=True)
-    assert info["fallback"]
+        val = norm(x, "innerprod_sym")
     assert val == pytest.approx(want, rel=1e-11)
 
 
@@ -289,10 +285,9 @@ def test_norm_sym_full_rank_carry_never_calls_dpstrf(monkeypatch, nranks):
     calls = _count_calls(monkeypatch, "dpstrf")
 
     def body(comm):
-        return norm(distribute(x, comm), "innerprod_sym", return_info=True)
+        return norm(distribute(x, comm), "innerprod_sym")
 
-    for val, info in run_spmd(nranks, body).results:
-        assert not info["fallback"]
+    for val in run_spmd(nranks, body).results:
         assert val == pytest.approx(np.linalg.norm(dense(x)), rel=1e-12)
     assert calls == []
 
@@ -306,10 +301,9 @@ def test_norm_sym_doubled_sum_takes_the_pivoted_route(monkeypatch, nranks):
     calls = _count_calls(monkeypatch, "_pivoted_cholesky")
 
     def body(comm):
-        return norm(distribute(y, comm), "innerprod_sym", return_info=True)
+        return norm(distribute(y, comm), "innerprod_sym")
 
-    for val, info in run_spmd(nranks, body).results:
-        assert not info["fallback"]
+    for val in run_spmd(nranks, body).results:
         assert val == pytest.approx(np.linalg.norm(dense(y)), rel=1e-11)
     assert calls
 
@@ -319,8 +313,7 @@ def test_norm_sym_large_carry_does_not_overflow():
     x = random_tt((4, 5, 3), (1, 3, 2, 1), seed=7)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        val, info = norm(scale(x, 1e80), "innerprod_sym", return_info=True)
-    assert not info["fallback"]
+        val = norm(scale(x, 1e80), "innerprod_sym")
     assert val == pytest.approx(1e80 * np.linalg.norm(dense(x)), rel=1e-11)
 
 
@@ -384,27 +377,30 @@ def test_apply_operator_matches_dense():
     dims = (4, 3, 5)
     x, _ = pair(26, dims=dims)
     op = kron_sum_operator(dims)
-    want = dense_operator(op) @ full(x).data
+    want = dense_operator(op) @ full(x).ravel(order="F")
     z = apply_operator(op, x)
     assert z.ranks == (1,) + tuple(3 * r for r in x.ranks[1:-1]) + (1,)
-    assert np.allclose(full(z).data, want, atol=1e-12)
+    assert np.allclose(full(z).ravel(order="F"), want, atol=1e-12)
 
 
 def test_apply_operator_distributed_matches():
-    dims = (6, 5, 7)
-    x, _ = pair(27, dims=dims, rx=(1, 3, 4, 1))
-    op = kron_sum_operator(dims)
-    want = dense_operator(op) @ full(x).data
-    # each output entry sums its row's terms in column order on any P
-    seq = [k.array.tobytes() for k in apply_operator(op, x).cores]
+    """Byte for byte the sequential result on any P, idle ranks included:
+    on (2, 3, 5) at P = 4 and 6, trailing ranks hold no rows of the short
+    modes and still take part in every exchange round."""
+    for dims, nranks in (((6, 5, 7), (2, 3)), ((2, 3, 5), (4, 6))):
+        x, _ = pair(27, dims=dims, rx=(1, 3, 4, 1))
+        op = kron_sum_operator(dims)
+        want = dense_operator(op) @ full(x).ravel(order="F")
+        # each output entry sums its row's terms in column order on any P
+        seq = [k.array.tobytes() for k in apply_operator(op, x).cores]
 
-    def body(comm):
-        z = gather(apply_operator(op, distribute(x, comm)))
-        assert np.allclose(full(z).data, want, atol=1e-12)
-        assert [k.array.tobytes() for k in z.cores] == seq
+        def body(comm):
+            z = gather(apply_operator(op, distribute(x, comm)))
+            assert np.allclose(full(z).ravel(order="F"), want, atol=1e-12)
+            assert [k.array.tobytes() for k in z.cores] == seq
 
-    for p in (2, 3):
-        run_spmd(p, body)
+        for p in nranks:
+            run_spmd(p, body)
 
 
 def test_apply_operator_moves_only_coupled_slices():
@@ -415,14 +411,14 @@ def test_apply_operator_moves_only_coupled_slices():
     op = KroneckerOperator(
         dims, [[laplacian(8), sp.identity(8, format="csr")]]
     )
-    want = dense_operator(op) @ full(x).data
+    want = dense_operator(op) @ full(x).ravel(order="F")
 
     def body(comm):
         dx = distribute(x, comm)
         comm.trace.reset()
         z = apply_operator(op, dx)
         msgs, words = comm.trace.total("messages"), comm.trace.total("words")
-        got = full(gather(z)).data
+        got = full(gather(z)).ravel(order="F")
         return msgs, words, got
 
     runs = run_spmd(4, body)
@@ -439,14 +435,15 @@ def test_apply_operator_with_rounding():
     dims = (5, 4, 6)
     x, _ = pair(29, dims=dims)
     op = kron_sum_operator(dims)
-    want = dense_operator(op) @ full(x).data
+    want = dense_operator(op) @ full(x).ravel(order="F")
     z = apply_operator(op, x, round_eps=1e-10)
     assert max(z.ranks) <= 3 * max(x.ranks)
-    assert np.allclose(full(z).data, want, atol=1e-8 * np.linalg.norm(want))
+    assert np.allclose(full(z).ravel(order="F"), want, atol=1e-8 * np.linalg.norm(want))
 
     def body(comm):
         dz = apply_operator(op, distribute(x, comm), round_eps=1e-10)
-        assert np.allclose(full(gather(dz)).data, want, atol=1e-8 * np.linalg.norm(want))
+        got = full(gather(dz)).ravel(order="F")
+        assert np.allclose(got, want, atol=1e-8 * np.linalg.norm(want))
 
     run_spmd(2, body)
 
@@ -526,9 +523,8 @@ def test_sequential_ops_match_the_one_rank_tensor_bytewise(c):
         ]
     assert np.float64(inner_product(x, y)).tobytes() == np.float64(inner_product(sx, sy)).tobytes()
     for method in ops.NORM_METHODS:
-        (v, info), (w, info1) = norm(x, method, True), norm(sx, method, True)
+        v, w = norm(x, method), norm(sx, method)
         assert np.float64(v).tobytes() == np.float64(w).tobytes()
-        assert info == info1
 
 
 def test_apply_operator_dims_must_match():
@@ -589,14 +585,13 @@ def test_gram_norms_at_extreme_scales(nranks, c):
 
     def body(comm):
         dx, dy = distribute(xs, comm), distribute(y, comm)
-        norms = {m: norm(dx, m, return_info=True) for m in ("innerprod", "innerprod_sym")}
+        norms = {m: norm(dx, m) for m in ("innerprod", "innerprod_sym")}
         with pytest.raises(NumericError):
             inner_product(dx, dx)
         return norms, inner_product(dx, dy)
 
     for norms, dot in run_spmd(nranks, body).results:
-        for val, info in norms.values():
-            assert not info["fallback"]
+        for val in norms.values():
             assert val == pytest.approx(want_norm, rel=1e-12)
         assert dot == pytest.approx(want_dot, rel=1e-10)
 
@@ -654,13 +649,12 @@ def test_gram_recurrences_stop_at_a_zero_mode():
         dz, dy = distribute(z, comm), distribute(y, comm)
         out = []
         for call in (lambda: inner_product(dz, dy), lambda: inner_product(dy, dz),
-                     lambda: norm(dz, "innerprod", return_info=True),
-                     lambda: norm(dz, "innerprod_sym", return_info=True)):
+                     lambda: norm(dz, "innerprod"),
+                     lambda: norm(dz, "innerprod_sym")):
             comm.trace.reset()
             out.append((call(), comm.trace.total("messages")))
         return out
 
-    for (dot, m1), (dot2, m2), ((n1, i1), m3), ((n2, i2), m4) in run_spmd(2, body).results:
+    for (dot, m1), (dot2, m2), (n1, m3), (n2, m4) in run_spmd(2, body).results:
         assert dot == dot2 == n1 == n2 == 0.0
-        assert not i1["fallback"] and not i2["fallback"]
         assert m1 == m2 == m3 == m4 == 2

@@ -63,19 +63,22 @@ def test_distribute_gather_roundtrip():
     run_spmd(3, body)
 
 
-def test_distribute_rejects_excess_ranks():
+def test_distribute_leaves_trailing_ranks_idle():
+    """At P = 3 a 2-row mode leaves rank 2 an empty slab, and gather still
+    round-trips; on one rank every slab is its core's own memory."""
     t = random_tt((4, 2, 5), (1, 2, 2, 1), seed=0)
 
     def body(comm):
-        with pytest.raises(ContractError, match="idle"):
-            distribute(t, comm)
-        dt = distribute(t, comm, allow_idle=True)
-        lo, hi = dt.local_bounds(1)
+        dt = distribute(t, comm)
         if comm.rank >= 2:
-            assert lo == hi == 2
-        assert np.array_equal(dense(gather(dt)), dense(t))
+            assert dt.local_bounds(1) == (2, 2)
+            assert dt.local[1].shape == (2, 0, 2)
+        for a, b in zip(gather(dt).cores, t.cores):
+            assert np.array_equal(a.array, b.array)
 
     run_spmd(3, body)
+    for one in (distribute(t, SerialComm()), serial_tt(t)):
+        assert all(np.shares_memory(s, c.array) for s, c in zip(one.local, t.cores))
 
 
 def test_random_dist_matches_sequential_bitwise():
@@ -97,7 +100,7 @@ def test_random_dist_matches_sequential_bitwise():
 
     def idle_body(comm):
         dt = DistTTTensor.random(comm, dims, ranks, seed)
-        ref = distribute(t, comm, allow_idle=True)
+        ref = distribute(t, comm)
         for a, b in zip(dt.local, ref.local):
             assert np.array_equal(a, b)
 
@@ -158,7 +161,7 @@ def test_orthonormalize_handles_empty_tail_slab():
     want = dense(t)
 
     def body(comm):
-        dt = distribute(t, comm, allow_idle=True)
+        dt = distribute(t, comm)
         out = orthonormalize(dt, "right")
         assert rel_err(dense(gather(out)), want) < 1e-12
 

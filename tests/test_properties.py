@@ -164,17 +164,16 @@ def _gram_case(dims, ranks, c, doubled, nranks):
 @example(_gram_case((2, 6, 1, 5), (1, 2, 5, 1, 1), 1e-170, False, 4))
 def test_sym_norm_agrees_with_innerprod_across_p(case):
     """innerprod_sym's and ortho's values are innerprod's to 1e-11 relative
-    at any P, innerprod_sym never falls back, and both are finite positive
-    numbers for a nonzero tensor."""
+    at any P, innerprod_sym never falls back (the suite makes its
+    UserWarning an error), and both are finite positive numbers for a
+    nonzero tensor."""
     x, nranks = case
 
     def body(comm):
-        dx = distribute(x, comm, allow_idle=True)
-        return (norm(dx, "innerprod_sym", return_info=True), norm(dx, "ortho"),
-                norm(dx, "innerprod"))
+        dx = distribute(x, comm)
+        return norm(dx, "innerprod_sym"), norm(dx, "ortho"), norm(dx, "innerprod")
 
-    for (val, info), ortho, want in run_spmd(nranks, body).results:
-        assert not info["fallback"]
+    for val, ortho, want in run_spmd(nranks, body).results:
         for v in (val, ortho):
             assert np.isfinite(v) and v > 0.0
             assert v == pytest.approx(want, rel=1e-11)
@@ -249,12 +248,12 @@ def test_add_is_one_block_stack_across_p(case):
         gathered = [z]
     else:
         def body(comm):
-            ds = [distribute(x, comm, allow_idle=True) for x in xs]
+            ds = [distribute(x, comm) for x in xs]
             dz = add(*ds)
             _check_sum(ds, dz, DistTTTensor)
             assert dz.comm is comm
             _check_add_rejects(ds, k, [(xs[0],) + _MIX, (serial_tt(xs[0]),) + _COMMS,
-                                       (distribute(other, comm, allow_idle=True),) + _DIMS])
+                                       (distribute(other, comm),) + _DIMS])
             return gather(dz)
 
         gathered = run_spmd(nranks, body).results
@@ -303,8 +302,8 @@ def test_inner_product_of_scaled_operands_across_p(case):
 
     def body(comm):
         try:
-            return inner_product(distribute(x, comm, allow_idle=True),
-                                 distribute(y, comm, allow_idle=True))
+            return inner_product(distribute(x, comm),
+                                 distribute(y, comm))
         except NumericError:
             return None
 
@@ -370,8 +369,8 @@ def test_hadamard_is_a_slab_local_kronecker_product_across_p(case):
         gathered = [z]
     else:
         def body(comm):
-            dx = distribute(x, comm, allow_idle=True)
-            dy = distribute(y, comm, allow_idle=True)
+            dx = distribute(x, comm)
+            dy = distribute(y, comm)
             comm.trace.reset()
             dz = hadamard(dx, dy)
             sent = (comm.trace.total("words"), comm.trace.total("messages"))
@@ -448,7 +447,7 @@ def _sweep_outputs(x, eps0, nranks) -> list:
     """Every rank's ``{(kind, how): (ranks, gathered output)}``."""
 
     def body(comm):
-        dx = distribute(x, comm, allow_idle=True)
+        dx = distribute(x, comm)
         out = {}
         for kind, how in _SWEEPS:
             if kind == "round":

@@ -6,8 +6,8 @@ from scipy.linalg import lapack
 
 from ttpar import _kernels, tsqr
 from ttpar.comm import SerialComm, run_spmd
-from ttpar.errors import CapabilityError, ContractError, NumericError, ShapeError
-from ttpar.tsqr import local_qr, message_trace, tsqr_apply_q, tsqr_factor
+from ttpar.errors import ContractError, NumericError, ShapeError
+from ttpar.tsqr import local_qr, tsqr_apply_q, tsqr_factor
 from ttpar.verify import reference_qr
 
 
@@ -478,10 +478,9 @@ def test_butterfly_message_counts():
 
     _, _, run = tsqr_gathered(a, 8)  # warm path; now the traced run:
     run = run_spmd(8, body)
-    per_rank = message_trace(run)
-    for rank, phases in enumerate(per_rank):
-        assert phases.get("factor", (0, 0))[0] == 3, (rank, phases)
-        assert phases.get("apply", (0, 0)) == (0, 0), (rank, phases)
+    for rank, tr in enumerate(run.traces):
+        assert tr.messages["factor"] == 3, (rank, tr.messages)
+        assert tr.messages["apply"] == tr.words["apply"] == 0, (rank, tr.words)
 
 
 def test_nonpowitwo_message_counts_and_levels():
@@ -501,9 +500,7 @@ def test_nonpowitwo_message_counts_and_levels():
     has_cleanup = [res[1] for res in run.results]
     assert levels == [3, 2, 2, 2, 0]
     assert has_cleanup == [True, False, False, False, False]
-    per_rank = message_trace(run)
-    apply_msgs = [phases.get("apply", (0, 0))[0] for phases in per_rank]
-    assert apply_msgs == [1, 0, 0, 0, 1]
+    assert [tr.messages["apply"] for tr in run.traces] == [1, 0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("variant", ["butterfly", "binomial"])
@@ -520,8 +517,8 @@ def test_message_counts_match_closed_forms(nranks, variant):
         with comm.trace.phase("apply"):
             tsqr_apply_q(fac, np.eye(3), comm)
 
-    per_rank = message_trace(run_spmd(nranks, body))
-    got = [(ph.get("factor", (0, 0))[0], ph.get("apply", (0, 0))[0]) for ph in per_rank]
+    traces = run_spmd(nranks, body).traces
+    got = [(tr.messages["factor"], tr.messages["apply"]) for tr in traces]
     if variant == "binomial":
         # rank q > 0 hangs below q minus its lowest set bit; one message per
         # incident edge and phase
@@ -555,7 +552,8 @@ def test_apply_identity_fast_path_flops():
 
 
 def test_factor_requires_matching_communicator():
-    """Applying a multi-rank factor with the wrong comm is a contract error."""
+    """Applying a factor with any other comm, None included, is a contract
+    error at every P."""
     rng = np.random.default_rng(9)
     a = rng.standard_normal((40, 3))
     blocks = row_blocks(a, 2)
@@ -570,10 +568,7 @@ def test_factor_requires_matching_communicator():
     with pytest.raises(ContractError):
         tsqr_apply_q(run.results[0], np.eye(3), None)
     with pytest.raises(ContractError):
+        tsqr_apply_q(tsqr_factor(a, SerialComm())[0], np.eye(3), None)
+    with pytest.raises(ContractError):
         tsqr_factor(a, SerialComm(), variant="bogus")
 
-
-def test_message_trace_requires_sim_run():
-    """message_trace rejects anything that is not a simulated run."""
-    with pytest.raises(CapabilityError):
-        message_trace("not a run")
