@@ -9,13 +9,13 @@ which release the GIL for the duration of each call.  It is the same
 library, so results are bitwise those of scipy's wrappers.
 
 `dgeqrt` and `dgemqrt` only ever see the tall panels `tsqr._wy_route` picks
-and always take the ctypes route.  `dgemm`, `dgemm_into` (a product
-written into a block of a larger array, in place), `dtrmm`, `dsyrk` and
-`dgesdd` pick theirs per call, from the flop count their shapes imply: from
-`GIL_FREE_FLOPS` on they go through ctypes, below it they call scipy's
-wrapper.  A ctypes call costs about 18 us against about 1 us for scipy's
-wrapper of a tiny product, and each release hands the GIL to another rank
-thread that the caller must then wait to get back.  Binding every call
+and always take the ctypes route.  `dgemm` (also into a block of a larger
+array, in place), `dtrmm`, `dsyrk` and `dgesdd` pick theirs per call, from
+the flop count their shapes imply: from `GIL_FREE_FLOPS` on they go through
+ctypes, below it they call scipy's wrapper.  A ctypes call costs about
+18 us against about 1 us for scipy's wrapper of a tiny product, and each
+release hands the GIL to another rank thread that the caller must then
+wait to get back.  Binding every call
 made the model-2 benchmark (two ranks, almost every call below 0.4 Mflop)
 slower: in one process, alternating calls (a 2-vCPU x86-64 VM, one
 OpenBLAS 0.3.30 thread per rank), `inner_product` took 4.5 ms against
@@ -26,9 +26,18 @@ the benchmark's `inner_product` and ``innerprod`` norm read 8% and 6%
 slower than on scipy's wrappers throughout (medians of 10 process pairs).
 On model-1 panels, where the calls run 4-50 Mflop and follow each other,
 the released calls overlap across ranks, and at two ranks
-`inner_product` runs in about 55% of the time.  Operands that are not
-contiguous float64 (F-ordered where written) take scipy's route, which
-copies them as it needs.
+`inner_product` runs in about 55% of the time.
+
+One rule, `_operand`, decides what memory every raw call reads or writes,
+and with what leading dimension; a wrong one would read the wrong entries
+without an error.  A float64 matrix whose columns are contiguous and
+evenly spaced (an F-ordered array or a block of one) is passed as it
+stands, if it is writable where the call writes.  A C-contiguous one that
+is only read is passed as an F-ordered copy, the copy scipy's wrapper
+makes; reading it as the F-ordered ``a.T`` instead changes OpenBLAS's
+rounding.  Anything else takes scipy's route, which copies it as it needs;
+`dgeqrt` and `dgemqrt`, which have none, raise `ShapeError` for what the
+rule would copy or refuse.  `dgesdd` always factors a copy of its own.
 
 `blas_threads_per_rank` caps the thread count of every loaded OpenBLAS for
 the duration of a simulated group, so that P ranks calling BLAS at once do
@@ -94,18 +103,6 @@ _DGEMQRT = _bind(cython_lapack, "dgemqrt", _CHAR, _CHAR, _INT, _INT, _INT, _INT,
                  _INT, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT)
 
 
-def _fits(a, writable: bool = False) -> bool:
-    """Whether ``a`` is memory a raw pointer call may read (or write)."""
-    return (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64
-            and a.flags.f_contiguous and (a.flags.writeable or not writable))
-
-
-def _check(name: str, a: np.ndarray, writable: bool = False) -> None:
-    if not _fits(a, writable):
-        kind = "writable " if writable else ""
-        raise ShapeError(f"{name} needs a {kind}2-d F-contiguous float64 array")
-
-
 def _ints(*values: int) -> list:
     return [ctypes.byref(ctypes.c_int(v)) for v in values]
 
@@ -114,105 +111,80 @@ def _dbl(v: float):
     return ctypes.byref(ctypes.c_double(v))
 
 
-def _ld(a: np.ndarray) -> int:
-    return max(a.shape[0], 1)
-
-
-def _column_ld(a, writable: bool = False) -> int | None:
-    """The leading dimension of ``a`` when it is a float64 matrix whose
-    columns are contiguous and evenly spaced (an F-ordered array or a block
-    of one), else None."""
+def _operand(a, writable: bool = False) -> tuple | None:
+    """The ``(array, leading dimension)`` a raw call reads, or writes when
+    ``writable``, for the matrix ``a`` under the module's layout rule; None
+    sends the call to scipy's wrapper."""
     if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64
-            and a.flags.aligned and (a.flags.writeable or not writable)):
+            and a.flags.aligned):
         return None
     m, n = a.shape
-    step = a.strides[1] // 8
-    if m > 1 and a.strides[0] != 8:
+    rows, cols = a.strides
+    columns = m == 1 or rows == 8  # each column contiguous
+    if a.size == 0 or columns and n == 1:
+        ld = max(m, 1)
+    elif columns and cols % 8 == 0 and cols >= 8 * m:
+        ld = cols // 8
+    elif a.flags.c_contiguous and not writable:
+        return np.asfortranarray(a), m
+    else:
         return None
-    if n > 1 and (a.strides[1] % 8 or step < m):
-        return None
-    return max(step if n > 1 else m, 1)
+    return (a, ld) if a.flags.writeable or not writable else None
 
 
-def _as_fortran(a):
-    """``a`` itself when it is F-contiguous float64, an F-ordered copy when
-    it is C-contiguous float64 (the copy scipy's wrapper would make; reading
-    it as the F-ordered ``a.T`` instead changes OpenBLAS's rounding), else
-    None.  The ctypes routes call this only past the gate, so a smaller
-    call leaves any copy to scipy's wrapper, which makes it holding the GIL."""
-    if _fits(a):
-        return a
-    if isinstance(a, np.ndarray) and a.ndim == 2 and _fits(a.T):
-        return np.asfortranarray(a)
-    return None
+def dgemm(alpha: float, a: np.ndarray, b: np.ndarray, trans_a: int = 0, trans_b: int = 0,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """``alpha * op(a) @ op(b)`` like scipy's ``dgemm``: a new F-ordered
+    array, or written into ``out`` and returned.
 
-
-def dgemm(alpha: float, a: np.ndarray, b: np.ndarray, trans_a: int = 0,
-          trans_b: int = 0) -> np.ndarray:
-    """``alpha * op(a) @ op(b)`` as a new F-ordered array, like scipy's ``dgemm``."""
+    ``out`` may be a block of a larger array; the raw route writes it in
+    place, scipy's writes the product it forms into it.  An ``out`` that
+    may overlap ``a`` or ``b`` takes scipy's route.
+    """
     m, k = a.shape[::-1] if trans_a else a.shape
     kb, n = b.shape[::-1] if trans_b else b.shape
+    if kb != k or out is not None and out.shape != (m, n):
+        raise ShapeError(f"dgemm: op(a) is {m} x {k} and op(b) is {kb} x {n}"
+                         + ("" if out is None else f", out is {out.shape}"))
     if 2.0 * m * n * k >= GIL_FREE_FLOPS:
-        af, bf = _as_fortran(a), _as_fortran(b)
-        if af is not None and bf is not None:
-            if kb != k:
-                raise ShapeError(f"dgemm: op(a) is {m} x {k} but op(b) is {kb} x {n}")
-            c = np.empty((m, n), order="F")  # beta = 0: BLAS never reads C
+        c = np.empty((m, n), order="F") if out is None else out  # beta = 0: BLAS never reads C
+        ops = _operand(a), _operand(b), _operand(c, writable=True)
+        # BLAS would read entries of an operand it has already overwritten
+        if None not in ops and not any(np.may_share_memory(c, x) for x in (a, b)):
+            (af, lda), (bf, ldb), (_, ldc) = ops
             ta, tb = (b"T" if t else b"N" for t in (trans_a, trans_b))
-            m_, n_, k_, lda, ldb, ldc = _ints(m, n, k, _ld(af), _ld(bf), max(m, 1))
+            m_, n_, k_, lda, ldb, ldc = _ints(m, n, k, lda, ldb, ldc)
             _DGEMM(ta, tb, m_, n_, k_, _dbl(alpha), af.ctypes.data, lda, bf.ctypes.data,
                    ldb, _dbl(0.0), c.ctypes.data, ldc)
             return c
-    return blas.dgemm(alpha, a, b, trans_a=trans_a, trans_b=trans_b)
-
-
-def dgemm_into(alpha: float, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Overwrite ``out`` with ``alpha * a @ b``.
-
-    ``out`` may be a block of a larger F-ordered array, and so may ``a`` and
-    ``b``: the ctypes route hands BLAS their leading dimensions, so no
-    operand is copied.  Below the gate, or for operands without contiguous
-    columns, scipy's wrapper forms the product and it is copied into ``out``.
-    """
-    m, k = a.shape
-    kb, n = b.shape
-    if kb != k or out.shape != (m, n):
-        raise ShapeError(f"dgemm_into: {a.shape} @ {b.shape} does not fit a {out.shape} block")
-    if 2.0 * m * n * k >= GIL_FREE_FLOPS:
-        lds = _column_ld(a), _column_ld(b), _column_ld(out, writable=True)
-        if None not in lds:
-            m_, n_, k_, lda, ldb, ldc = _ints(m, n, k, *lds)
-            _DGEMM(b"N", b"N", m_, n_, k_, _dbl(alpha), a.ctypes.data, lda, b.ctypes.data,
-                   ldb, _dbl(0.0), out.ctypes.data, ldc)
-            return
-    out[...] = blas.dgemm(alpha, a, b)
+    c = blas.dgemm(alpha, a, b, trans_a=trans_a, trans_b=trans_b)
+    if out is None:
+        return c
+    out[...] = c
+    return out
 
 
 def dtrmm(alpha: float, a: np.ndarray, b: np.ndarray, side: int = 0, lower: int = 0,
           trans_a: int = 0, overwrite_b: int = 0) -> np.ndarray:
     """``alpha * op(a) @ b`` (side 0) or ``alpha * b @ op(a)`` (side 1) for a
     triangular ``a``, like scipy's ``dtrmm``: ``b`` is overwritten and returned
-    when ``overwrite_b`` is set and it is already F-ordered, else copied;
-    C-ordered operands take the ctypes route as in `dgemm`."""
+    when ``overwrite_b`` is set and it is a writable float64 matrix with
+    contiguous columns, else copied."""
     m, n = b.shape
     k = n if side else m
+    if a.shape != (k, k):
+        raise ShapeError(f"dtrmm: a is {a.shape}, side {side} of a {b.shape} b needs {k} x {k}")
     if float(m) * n * k >= GIL_FREE_FLOPS:
-        af = _as_fortran(a)
-        if overwrite_b:
-            out = b if _fits(b, writable=True) else None
-        elif _fits(b):
-            out = b.copy(order="F")
-        else:
-            out = _as_fortran(b)  # a fresh copy, or None
-        if af is not None and out is not None:
-            if a.shape != (k, k):
-                raise ShapeError(f"dtrmm: a is {a.shape}, side {side} of a {b.shape} b "
-                                 f"needs {k} x {k}")
+        # scipy's wrapper too forms the product in an F-ordered copy of b
+        c = b if overwrite_b else np.array(b, order="F")
+        ops = _operand(a), _operand(c, writable=True)
+        if None not in ops:
+            (af, lda), (_, ldb) = ops
             flags = (b"R" if side else b"L", b"L" if lower else b"U",
                      b"T" if trans_a else b"N", b"N")
-            m_, n_, lda, ldb = _ints(m, n, _ld(af), _ld(out))
-            _DTRMM(*flags, m_, n_, _dbl(alpha), af.ctypes.data, lda, out.ctypes.data, ldb)
-            return out
+            m_, n_, lda, ldb = _ints(m, n, lda, ldb)
+            _DTRMM(*flags, m_, n_, _dbl(alpha), af.ctypes.data, lda, c.ctypes.data, ldb)
+            return c
     # f2py would write into a read-only b too
     overwrite_b = overwrite_b and isinstance(b, np.ndarray) and b.flags.writeable
     return blas.dtrmm(alpha, a, b, side=side, lower=lower, trans_a=trans_a,
@@ -221,17 +193,17 @@ def dtrmm(alpha: float, a: np.ndarray, b: np.ndarray, side: int = 0, lower: int 
 
 def dsyrk(alpha: float, a: np.ndarray, trans: int = 0, lower: int = 0) -> np.ndarray:
     """One triangle of ``alpha * a @ a.T`` (``a.T @ a`` when ``trans``) as a new
-    F-ordered array whose other triangle is zero, like scipy's ``dsyrk``;
-    a C-ordered ``a`` takes the ctypes route as in `dgemm`."""
+    F-ordered array whose other triangle is zero, like scipy's ``dsyrk``."""
     n, k = a.shape[::-1] if trans else a.shape
-    af = _as_fortran(a) if float(n) * n * k >= GIL_FREE_FLOPS else None
-    if af is not None:
-        c = np.zeros((n, n), order="F")
-        n_, k_, lda, ldc = _ints(n, k, _ld(af), max(n, 1))
-        _DSYRK(b"L" if lower else b"U", b"T" if trans else b"N", n_, k_, _dbl(alpha),
-               af.ctypes.data, lda, _dbl(0.0), c.ctypes.data, ldc)
-        return c
-    return blas.dsyrk(alpha, a, trans=trans, lower=lower)
+    op = _operand(a) if float(n) * n * k >= GIL_FREE_FLOPS else None
+    if op is None:
+        return blas.dsyrk(alpha, a, trans=trans, lower=lower)
+    af, lda = op
+    c = np.zeros((n, n), order="F")
+    n_, k_, lda, ldc = _ints(n, k, lda, max(n, 1))
+    _DSYRK(b"L" if lower else b"U", b"T" if trans else b"N", n_, k_, _dbl(alpha),
+           af.ctypes.data, lda, _dbl(0.0), c.ctypes.data, ldc)
+    return c
 
 
 def dgesdd(a: np.ndarray) -> tuple:
@@ -270,18 +242,20 @@ def dgesdd(a: np.ndarray) -> tuple:
 def dgeqrt(a: np.ndarray, nb: int) -> tuple:
     """Factor the m x n matrix ``a`` in place with block size ``nb``.
 
-    ``a`` must be a writable F-contiguous float64 array; on return it holds R
-    and the Householder vectors in ``dgeqrf``'s layout.  Returns ``(T, info)``:
-    T is the min(nb, m, n) x n array of compact-WY triangles, whose entries
-    ``T[j % nb, j]`` are the reflectors' ``tau``.
+    ``a`` must be a writable float64 matrix with contiguous columns (`_operand`);
+    on return it holds R and the Householder vectors in ``dgeqrf``'s layout.
+    Returns ``(T, info)``: T is the min(nb, m, n) x n array of compact-WY
+    triangles, whose entries ``T[j % nb, j]`` are the reflectors' ``tau``.
     """
-    _check("dgeqrt", a, writable=True)
+    op = _operand(a, writable=True)
+    if op is None:  # there is no scipy route to send it to
+        raise ShapeError("dgeqrt needs a writable float64 matrix with contiguous columns")
     m, n = a.shape
     nb = max(1, min(nb, m, n))
     t = np.zeros((nb, n), order="F")
     work = np.empty(nb * max(n, 1))
     info = ctypes.c_int(0)
-    m_, n_, nb_, lda = _ints(m, n, nb, max(m, 1))
+    m_, n_, nb_, lda = _ints(m, n, nb, op[1])
     _DGEQRT(m_, n_, nb_, a.ctypes.data, lda, t.ctypes.data, nb_, work.ctypes.data,
             ctypes.byref(info))
     return t, info.value
@@ -295,12 +269,13 @@ def dgemqrt(v: np.ndarray, t: np.ndarray, c: np.ndarray, j: int = 0, k: int | No
     nb x n T.  Reflectors j..j+k-1 (all of them by default) touch rows j:
     only; columns of ``c`` left of ``col`` (j by default) are skipped, which
     is exact when they vanish below row j or are formed apart.  j must start
-    a T block (a multiple of nb).  ``c`` must be writable; all three arrays
-    are F-contiguous float64.
+    a T block (a multiple of nb).  All three arrays are float64 matrices with
+    contiguous columns (`_operand`), passed as they stand; ``c`` is writable.
     """
-    _check("dgemqrt", v)
-    _check("dgemqrt", t)
-    _check("dgemqrt", c, writable=True)
+    ops = _operand(v), _operand(t), _operand(c, writable=True)
+    if None in ops or ops[0][0] is not v or ops[1][0] is not t:  # refused or copied
+        raise ShapeError("dgemqrt needs float64 matrices with contiguous columns, c writable")
+    (_, ldv), (_, ldt), (_, ldc) = ops
     m, n = v.shape
     k = n - j if k is None else k
     col = j if col is None else col
@@ -311,9 +286,9 @@ def dgemqrt(v: np.ndarray, t: np.ndarray, c: np.ndarray, j: int = 0, k: int | No
     nb, ncols = min(t.shape[0], k), c.shape[1] - col
     work = np.empty(max(1, nb * ncols))
     info = ctypes.c_int(0)
-    m_, n_, k_, nb_, ldv, ldt = _ints(m - j, ncols, k, nb, m, t.shape[0])
-    _DGEMQRT(b"L", b"N", m_, n_, k_, nb_, v.ctypes.data + 8 * j * (m + 1), ldv,
-             t.ctypes.data + 8 * j * t.shape[0], ldt, c.ctypes.data + 8 * (j + col * m), ldv,
+    m_, n_, k_, nb_, ldv_, ldt_, ldc_ = _ints(m - j, ncols, k, nb, ldv, ldt, ldc)
+    _DGEMQRT(b"L", b"N", m_, n_, k_, nb_, v.ctypes.data + 8 * j * (ldv + 1), ldv_,
+             t.ctypes.data + 8 * j * ldt, ldt_, c.ctypes.data + 8 * (j + col * ldc), ldc_,
              work.ctypes.data, ctypes.byref(info))
     return info.value
 

@@ -79,7 +79,7 @@ class TTCore:
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim != 3:
             raise ShapeError(f"core must be 3-way, got ndim={arr.ndim}")
-        if min(arr.shape) < 0 or arr.shape[0] < 1 or arr.shape[2] < 1:
+        if arr.shape[0] < 1 or arr.shape[2] < 1:
             raise ShapeError(f"core ranks must be positive, got shape {arr.shape}")
         self.array = np.asfortranarray(arr)
 
@@ -206,9 +206,8 @@ def full(t: TTTensor, max_entries: int = DEFAULT_FULL_CAPACITY) -> np.ndarray:
         for i in range(dims[0]):
             out[i] = float(t.cores[0].array[0, i, :][0])
     else:
-        sl0, st0 = slices[0], strides[0]
         for i in range(dims[0]):
-            sweep(1, i * st0, t.cores[0].array[0, i, :])
+            sweep(1, i * strides[0], t.cores[0].array[0, i, :])
     return out.reshape(dims, order="F")
 
 

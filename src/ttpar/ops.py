@@ -357,13 +357,19 @@ def norm(x, method: str = "innerprod") -> float:
 
 @dataclass
 class KroneckerOperator:
-    """Sum of Kronecker products of square sparse factors, one per mode."""
+    """Sum of Kronecker products of square sparse factors, one per mode.
+
+    Mode sizes below 1 and factors of the wrong shape are a `ShapeError`,
+    non-finite entries a `NumericError`.
+    """
 
     dims: tuple
     terms: list
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
+        if not self.dims or any(d < 1 for d in self.dims):
+            raise ShapeError(f"operator dims must be positive, got {self.dims}")
         if not self.terms:
             raise ShapeError("operator needs at least one term")
         terms = []
@@ -378,6 +384,8 @@ class KroneckerOperator:
                         f"term {t} factor {n} is {f.shape}, mode wants "
                         f"({self.dims[n]}, {self.dims[n]})"
                     )
+                if not np.isfinite(f.data).all():
+                    raise NumericError(f"term {t} factor {n} has non-finite entries")
                 row.append(f)
             terms.append(row)
         self.terms = terms
@@ -466,9 +474,9 @@ def save_operator(path, op: KroneckerOperator) -> None:
 
 def load_operator(path) -> KroneckerOperator:
     """Parse the text format written by `save_operator`."""
-    with open(path, encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
     try:
+        with open(path, encoding="ascii") as f:  # a non-ASCII byte is a ValueError
+            lines = [ln.strip() for ln in f if ln.strip()]
         if lines[0] != _OP_MAGIC:
             raise ShapeError(f"{path!r} is not an operator file (bad magic {lines[0]!r})")
         n_modes, n_terms = (int(v) for v in lines[1].split())

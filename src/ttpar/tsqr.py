@@ -197,7 +197,7 @@ class LocalQR:
             w = blas.dtrmm(1.0, v1, c1, lower=1, trans_a=1, diag=1)
             w = blas.dtrmm(1.0, t[:ib, j : j + ib], w, overwrite_b=1)
             q[j : j + ib, j : j + ib] = c1 - blas.dtrmm(1.0, v1, w, lower=1, diag=1)
-            _kernels.dgemm_into(-1.0, v[j + ib :, j : j + ib], w, q[j + ib :, j : j + ib])
+            _kernels.dgemm(-1.0, v[j + ib :, j : j + ib], w, out=q[j + ib :, j : j + ib])
         return q
 
 

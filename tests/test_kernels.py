@@ -75,11 +75,25 @@ def test_dgemm_into_is_scipys(gate, raw_calls, m, n, k):
     b = _f(rng, (k + 1, n))[1:]
     big = _f(rng, (m + 4, n + 3))
     before = big.copy(order="F")
-    _kernels.dgemm_into(-1.5, a, b, big[1 : 1 + m, 2 : 2 + n])
+    _kernels.dgemm(-1.5, a, b, out=big[1 : 1 + m, 2 : 2 + n])
     assert bool(raw_calls) is (gate == "forced" or 2.0 * m * n * k >= _kernels.GIL_FREE_FLOPS)
     assert np.array_equal(big[1 : 1 + m, 2 : 2 + n], blas.dgemm(-1.5, a, b))
     big[1 : 1 + m, 2 : 2 + n] = before[1 : 1 + m, 2 : 2 + n]
     assert np.array_equal(big, before)
+
+
+def test_dgemm_into_an_operand_is_scipys(raw_calls):
+    """An ``out`` that overlaps ``a`` or ``b`` takes scipy's route, which
+    forms the product apart: in place, BLAS would read entries it has
+    already overwritten."""
+    rng = np.random.default_rng(9)
+    big = _f(rng, (128, 256))
+    for a, b, out in ((big[:, :128], big[:, 128:], big[:, :128]),
+                      (big[:, :128], big[:, 128:], big[:, 64:192])):
+        want = blas.dgemm(1.0, a, b)
+        assert _kernels.dgemm(1.0, a, b, out=out) is out
+        assert np.array_equal(out, want)
+    assert raw_calls == []
 
 
 # (triangle, other side of b): small, gated (a model-1 fold of a 100 x 100
@@ -171,9 +185,9 @@ def test_gil_free_route_pins_shapes(raw_calls, call, gil_free):
 
 
 def test_unfit_operands_take_scipys_route(raw_calls, monkeypatch):
-    """Operands that are not contiguous float64 (writable and F-ordered
-    where overwritten) never reach a raw pointer call: scipy's wrapper gets
-    them and returns its own bits."""
+    """Operands the layout rule refuses (not float64 matrices with contiguous
+    columns, or read-only where overwritten) never reach a raw pointer
+    call: scipy's wrapper gets them and returns its own bits."""
     monkeypatch.setattr(_kernels, "GIL_FREE_FLOPS", 0)
     rng = np.random.default_rng(6)
     a, b = rng.standard_normal((40, 30)), rng.standard_normal((30, 20))
@@ -196,7 +210,7 @@ def test_unfit_operands_take_scipys_route(raw_calls, monkeypatch):
     for got, want in cases:
         assert np.array_equal(got(), want())
     out = np.empty((40, 20), order="F")
-    _kernels.dgemm_into(1.0, strided, b, out)  # rows two elements apart
+    _kernels.dgemm(1.0, strided, b, out=out)  # rows two elements apart
     assert np.array_equal(out, blas.dgemm(1.0, strided, b))
     assert raw_calls == []
     assert np.array_equal(frozen, frozen_before)  # scipy's f2py would have written it
@@ -214,7 +228,7 @@ def test_mismatched_shapes_raise_before_the_pointer_call(raw_calls, monkeypatch)
     with pytest.raises(ShapeError):
         _kernels.dtrmm(1.0, _f(rng, (6, 6)), _f(rng, (6, 4)), side=1)
     with pytest.raises(ShapeError):
-        _kernels.dgemm_into(1.0, _f(rng, (10, 5)), _f(rng, (5, 4)), _f(rng, (10, 3)))
+        _kernels.dgemm(1.0, _f(rng, (10, 5)), _f(rng, (5, 4)), out=_f(rng, (10, 3)))
     assert raw_calls == []
 
 

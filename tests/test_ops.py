@@ -541,6 +541,12 @@ def test_operator_validates_factors():
         KroneckerOperator((3, 3), [[sp.identity(3)]])
     with pytest.raises(ShapeError, match="at least one"):
         KroneckerOperator((3, 3), [])
+    for dims in ((0,), (3, 0), ()):
+        with pytest.raises(ShapeError, match="positive"):
+            KroneckerOperator(dims, [[sp.identity(d) for d in dims]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError, match="non-finite"):
+            KroneckerOperator((3, 3), [[sp.identity(3), sp.diags([1.0, bad, 1.0])]])
 
 
 def test_operator_save_load_roundtrip(tmp_path):
@@ -568,6 +574,16 @@ def test_operator_load_rejects_garbage(tmp_path):
     bad.write_text("KRONOP1\n1 1\n3\nfactor 0 0 1\n0 0 1.0\nextra junk here\n")
     with pytest.raises(ShapeError):
         load_operator(bad)
+    bad.write_bytes(b"KRONOP1\n1 1\n3\nfactor 0 0 1\n0 0 1.0\xe9\n")
+    with pytest.raises(ShapeError):
+        load_operator(bad)  # not ASCII
+    bad.write_text("KRONOP1\n1 1\n0\nfactor 0 0 0\n")
+    with pytest.raises(ShapeError, match="positive"):
+        load_operator(bad)  # a mode of size 0
+    for value in ("nan", "inf", "-inf"):
+        bad.write_text(f"KRONOP1\n1 1\n3\nfactor 0 0 2\n0 0 1.0\n1 1 {value}\n")
+        with pytest.raises(NumericError, match="non-finite"):
+            load_operator(bad)
 
 
 @pytest.mark.parametrize("c", [1e-303, 1e-170, 1e170])

@@ -1,5 +1,6 @@
 """Property-based tests: `local_qr` on both kernel routes, any shape and
-magnitude; the routed leaf's Q built for a triangle; the vectorized Philox
+magnitude; the routed leaf's Q built for a triangle; the layout rule of the
+raw BLAS-3 calls, on any layout, dtype and writability; the vectorized Philox
 key derivation against numpy's SeedSequence; the three norms, the n-ary sum,
 the inner product, the Hadamard product and the TSQR sweeps (`round_tt`,
 `orthonormalize`) across P."""
@@ -8,6 +9,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.linalg import blas
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -17,6 +19,7 @@ from ttpar import (  # noqa: E402
     RoundingOptions,
     TTCore,
     TTTensor,
+    _kernels,
     add,
     distribute,
     gather,
@@ -115,6 +118,187 @@ def test_routed_explicit_q_of_a_triangle_is_apply(case):
     want = fac.apply(c)
     scale = max(np.abs(c).max(), np.finfo(float).tiny)
     assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+#: How an m x n operand sits in its buffer, for paddings p and q: the
+#: buffer's shape and the view of it.  Every buffer is F-ordered except "C"'s.
+LAYOUTS = {
+    "F": (lambda m, n, p, q: (m, n), lambda a, m, n, p, q: a),
+    "C": (lambda m, n, p, q: (m, n), lambda a, m, n, p, q: a),
+    "block": (lambda m, n, p, q: (m + 2 * p, n + 2 * q),
+              lambda a, m, n, p, q: a[p : p + m, q : q + n]),
+    "rows two apart": (lambda m, n, p, q: (2 * m, n), lambda a, m, n, p, q: a[::2]),
+    "transposed": (lambda m, n, p, q: (n + 1 + q, m + p), lambda a, m, n, p, q: a[:n, :m].T),
+    "reversed": (lambda m, n, p, q: (m, n), lambda a, m, n, p, q: a[::-1]),
+}
+
+
+@st.composite
+def operands(draw, m, n):
+    """``(kind, buffer, view)``: an m x n operand of a drawn layout kind (F
+    or a block in half the draws), float64 or float32, sometimes read-only;
+    ``view`` maps the buffer, or a copy of it, to the operand."""
+    kind = draw(st.sampled_from(["F", "block"]) | st.sampled_from(sorted(LAYOUTS)))
+    p, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    shape_of, view_of = LAYOUTS[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float64, np.float64, np.float64, np.float32]))
+    buf = np.asarray(rng.standard_normal(shape_of(m, n, p, q)), dtype=dtype,
+                     order="C" if kind == "C" else "F")
+    buf.flags.writeable = draw(st.integers(0, 4)) > 0
+    return kind, buf, lambda a: view_of(a, m, n, p, q)
+
+
+_GATES = st.sampled_from([_kernels.GIL_FREE_FLOPS, 0])
+
+
+@st.composite
+def extents(draw, count):
+    """``count`` small extents, empty ones included, or ``count`` large ones,
+    whose products are past the shipped gate."""
+    size = st.integers(102, 120) if draw(st.booleans()) else st.sampled_from([0, 1, 2, 5, 7])
+    return [draw(size) for _ in range(count)]
+
+
+def _bits(a):
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _counted(name, call, gate):
+    """``(call(), number of calls of the raw kernel name)`` with the gate
+    at ``gate`` flops."""
+    calls = []
+    raw = getattr(_kernels, name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "GIL_FREE_FLOPS", gate)
+        mp.setattr(_kernels, name, lambda *a: (calls.append(name), raw(*a))[1])
+        return call(), len(calls)
+
+
+def _takes(*operands) -> bool:
+    """Whether the layout rule takes every ``(array, written)`` operand."""
+    return all(_kernels._operand(a, w) is not None for a, w in operands)
+
+
+@st.composite
+def gemm_cases(draw):
+    m, n, k = draw(extents(3))
+    trans_a, trans_b = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    a = draw(operands(*((k, m) if trans_a else (m, k))))
+    b = draw(operands(*((n, k) if trans_b else (k, n))))
+    return a, b, draw(st.none() | operands(m, n)), trans_a, trans_b, draw(_GATES)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(gemm_cases())
+def test_dgemm_on_any_layout_is_scipys(case):
+    """With or without ``out``: scipy's wrapper's bits; a raw call exactly
+    when the gate passes and the layout rule takes every operand; inputs
+    untouched, and nothing outside ``out`` moves (a read-only ``out`` is an
+    error that writes nothing)."""
+    (_, abuf, aview), (_, bbuf, bview), out, trans_a, trans_b, gate = case
+    a, b = aview(abuf), bview(bbuf)
+    m, k = a.shape[::-1] if trans_a else a.shape
+    n = b.shape[0] if trans_b else b.shape[1]
+    want = blas.dgemm(1.5, a, b, trans_a=trans_a, trans_b=trans_b)
+    before = [_bits(abuf), _bits(bbuf)]
+    operands = [(a, False), (b, False)]
+    if out is None:
+        got, raw = _counted("_DGEMM", lambda: _kernels.dgemm(1.5, a, b, trans_a, trans_b), gate)
+        assert _bits(got) == _bits(want) and got.flags.f_contiguous
+    else:
+        _, obuf, oview = out
+        o, expect = oview(obuf), obuf.copy(order="A")
+        if not o.flags.writeable:
+            with pytest.raises(ValueError):
+                _kernels.dgemm(1.5, a, b, trans_a, trans_b, out=o)
+            assert _bits(obuf) == _bits(expect)
+            return
+        oview(expect)[...] = want
+        got, raw = _counted(
+            "_DGEMM", lambda: _kernels.dgemm(1.5, a, b, trans_a, trans_b, out=o), gate)
+        assert got is o and _bits(obuf) == _bits(expect)
+        operands.append((o, True))
+    assert bool(raw) is (2.0 * m * n * k >= gate and _takes(*operands))
+    assert [_bits(abuf), _bits(bbuf)] == before
+
+
+@st.composite
+def trmm_cases(draw):
+    (m, n), side = draw(extents(2)), draw(st.integers(0, 1))
+    k = n if side else m
+    flags = [draw(st.integers(0, 1)) for _ in range(3)]  # lower, trans_a, overwrite_b
+    return draw(operands(k, k)), draw(operands(m, n)), side, *flags, draw(_GATES)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(trmm_cases())
+def test_dtrmm_on_any_layout_is_scipys(case):
+    """scipy's wrapper's bits; a raw call exactly when the gate passes and
+    the rule takes a and the b it writes (b itself with ``overwrite_b``,
+    else an F-ordered copy), which then is b, written in place; a untouched,
+    and b changed only when the result is b."""
+    (_, abuf, aview), (_, bbuf, bview), side, lower, trans_a, overwrite_b, gate = case
+    a, b = aview(abuf), bview(bbuf)
+    m, n = b.shape
+    want = blas.dtrmm(1.5, a, b.copy(), side=side, lower=lower, trans_a=trans_a)
+    expect = [abuf.copy(order="A"), bbuf.copy(order="A")]
+    got, raw = _counted(
+        "_DTRMM", lambda: _kernels.dtrmm(1.5, a, b, side, lower, trans_a, overwrite_b), gate)
+    assert _bits(got) == _bits(want) and (got is b or got.flags.f_contiguous)
+    written = b if overwrite_b else np.array(b, order="F")
+    assert bool(raw) is (float(m) * n * (n if side else m) >= gate
+                         and _takes((a, False), (written, True)))
+    if raw and overwrite_b:
+        assert got is b
+    if np.shares_memory(got, bbuf):
+        assert overwrite_b and b.flags.writeable
+        bview(expect[1])[...] = want
+    assert [_bits(abuf), _bits(bbuf)] == [_bits(x) for x in expect]
+
+
+@st.composite
+def syrk_cases(draw):
+    (n, k), trans = draw(extents(2)), draw(st.integers(0, 1))
+    a = draw(operands(*((k, n) if trans else (n, k))))
+    return a, trans, draw(st.integers(0, 1)), draw(_GATES)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(syrk_cases())
+def test_dsyrk_on_any_layout_is_scipys(case):
+    """scipy's wrapper's bits, a raw call exactly when the gate passes and
+    the rule takes the operand, and the operand untouched."""
+    (_, abuf, aview), trans, lower, gate = case
+    a = aview(abuf)
+    n, k = a.shape[::-1] if trans else a.shape
+    before = _bits(abuf)
+    want = blas.dsyrk(0.5, a, trans=trans, lower=lower)
+    got, raw = _counted("_DSYRK", lambda: _kernels.dsyrk(0.5, a, trans, lower), gate)
+    assert _bits(got) == _bits(want)
+    assert bool(raw) is (float(n) * n * k >= gate and _takes((a, False)))
+    assert _bits(abuf) == before
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.integers(2, 9), st.integers(2, 9), st.data())
+def test_layout_rule_by_kind(m, n, data):
+    """Of float64 matrices with two rows and columns or more, the rule passes
+    F-ordered arrays and blocks of them as they stand, with their buffer's
+    column length as leading dimension, to be written only when writable;
+    C-ordered ones as F-ordered copies, only to be read; nothing else."""
+    kind, buf, view = data.draw(operands(m, n))
+    a = view(buf)
+    read, write = _kernels._operand(a), _kernels._operand(a, writable=True)
+    as_is = a.dtype == np.float64 and kind in ("F", "block")
+    assert (write is not None) is (as_is and a.flags.writeable)
+    if as_is:
+        assert read[0] is a and read[1] == buf.shape[0]
+    elif a.dtype == np.float64 and kind == "C":
+        copy, ld = read
+        assert copy.flags.f_contiguous and ld == m and _bits(copy) == _bits(a)
+    else:
+        assert read is None
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

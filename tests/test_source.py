@@ -53,3 +53,28 @@ def test_package_has_no_unused_imports():
     files = sorted(Path(ttpar.__file__).parent.rglob("*.py"))
     assert "verify.py" in {f.name for f in files}
     assert [hit for f in files for hit in _unused_imports(f)] == []
+
+
+#: What a layout rule reads of an array.
+_LAYOUT_READS = {"strides", "f_contiguous", "c_contiguous", "aligned", "isfortran"}
+
+
+def test_kernels_have_one_layout_rule():
+    """In `ttpar._kernels` only `_operand` reads an array's strides or
+    contiguity flags, so every raw BLAS/LAPACK call takes what it reads and
+    writes, and the leading dimension, from that one rule: a second rule
+    that hands a raw call a wrong leading dimension reads the wrong memory
+    without an error."""
+    path = Path(ttpar.__file__).parent / "_kernels.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    rule = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_operand"]
+    assert len(rule) == 1
+    inside = {id(node) for node in ast.walk(rule[0])}
+    found = [
+        f"_kernels.py:{node.lineno} .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _LAYOUT_READS
+        and id(node) not in inside
+    ]
+    assert found == []

@@ -101,7 +101,8 @@ def test_dgeqrt_binding_matches_scipy(shape):
 
 
 def test_dgeqrt_binding_rejects_bad_layout():
-    """Only writable F-contiguous float64 matrices reach the raw pointer call."""
+    """Only writable float64 matrices with contiguous columns reach the raw
+    pointer call."""
     with pytest.raises(ShapeError):
         _kernels.dgeqrt(np.ones((8, 4)), 32)  # C order
     with pytest.raises(ShapeError):
@@ -141,8 +142,8 @@ def test_dgemqrt_binding_matches_scipy(shape, ncols):
 
 
 def test_dgemqrt_binding_rejects_bad_input():
-    """Layouts other than F-contiguous float64, a read-only C and blocks that
-    do not fit the factor all raise before the raw pointer call."""
+    """Layouts other than float64 with contiguous columns, a read-only C and
+    blocks that do not fit the factor all raise before the raw pointer call."""
     v = np.asfortranarray(np.random.default_rng(25).standard_normal((80, 40)))
     t, _ = _kernels.dgeqrt(v, 32)
     for c in (np.ones((80, 4)), np.ones((80, 4), dtype=np.float32, order="F"), np.ones(80)):
@@ -163,6 +164,35 @@ def test_dgemqrt_binding_rejects_bad_input():
             _kernels.dgemqrt(v, t, c, 0, 32, col=col)
     with pytest.raises(ShapeError):
         _kernels.dgemqrt(v, t, np.ones((79, 4), order="F"))
+
+
+def test_wy_bindings_take_blocks_with_their_leading_dimension():
+    """dgeqrt and dgemqrt work in place on blocks of larger F-ordered arrays,
+    with the bits they give on F-ordered copies, and move nothing outside
+    the blocks."""
+    rng = np.random.default_rng(26)
+
+    def block(m, n):
+        big = np.asfortranarray(rng.standard_normal((m + 5, n + 4)))
+        return big[2 : 2 + m, 3 : 3 + n], big
+
+    def outside(big, m, n):
+        return np.delete(np.delete(big, np.s_[3 : 3 + n], axis=1), np.s_[2 : 2 + m], axis=0)
+
+    v, vbig = block(300, 70)
+    vf, rim = np.asfortranarray(v), outside(vbig, 300, 70)
+    t, info = _kernels.dgeqrt(v, 32)
+    t_want, info_want = _kernels.dgeqrt(vf, 32)
+    assert info == info_want == 0 and np.array_equal(t, t_want) and np.array_equal(v, vf)
+    assert np.array_equal(outside(vbig, 300, 70), rim)
+    tb, _ = block(*t.shape)
+    tb[...] = t
+    for j, k, col in ((0, None, 0), (32, 32, 40)):
+        c, cbig = block(300, 50)
+        cf, rim = np.asfortranarray(c), outside(cbig, 300, 50)
+        assert _kernels.dgemqrt(v, tb, c, j, k, col=col) == 0
+        assert _kernels.dgemqrt(vf, t, cf, j, k, col=col) == 0
+        assert np.array_equal(c, cf) and np.array_equal(outside(cbig, 300, 50), rim)
 
 
 @pytest.mark.parametrize("shape,routed", [
