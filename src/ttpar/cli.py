@@ -200,8 +200,6 @@ def _cmd_run(args) -> int:
 
     if args.comm == "sim":
         P = 1 if args.P is None else args.P
-        if P < 1:
-            raise ContractError(f"--P must be positive, got {P}")
         spmd = run_spmd(P, body, timeout=args.timeout)
         per_rank = [r for r, _ in spmd.results]
         rows = _aggregate(per_rank)
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank count (simulated backend; MPI takes it from the launcher)")
     r.add_argument("--comm", choices=("sim", "runtime"), default="sim",
                    help="sim = in-process threads, runtime = mpi4py under mpirun")
-    r.add_argument("--variant", default="LRLI", choices=ROUNDING_VARIANTS,
+    r.add_argument("--variant", default="LRLI", type=str.upper, choices=ROUNDING_VARIANTS,
                    help="rounding sweep order (round only)")
     r.add_argument("--eps0", type=float, default=1e-8,
                    help="relative rounding accuracy (round only)")

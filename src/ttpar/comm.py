@@ -51,6 +51,15 @@ class CostModelParams:
         return self.gamma * flops + self.beta * words + self.alpha * messages
 
 
+def _check_count(name: str, value) -> int:
+    """A rank count P or a rank cap is an integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ContractError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 def _log2_ceil(p: int) -> int:
     return 0 if p <= 1 else int(ceil(log2(p)))
 
@@ -184,9 +193,7 @@ class _SimGroup:
     """
 
     def __init__(self, nranks: int, timeout: float):
-        if nranks < 1:
-            raise ContractError("need at least one rank")
-        self.size = nranks
+        self.size = _check_count("P", nranks)
         self.timeout = timeout
         self._cv = threading.Condition()
         self._boxes = {}

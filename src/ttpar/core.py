@@ -105,9 +105,6 @@ class TTCore:
         rl, d, rr = self.array.shape
         return self.array.reshape((rl, d * rr), order="F")
 
-    def copy(self) -> "TTCore":
-        return TTCore(self.array.copy(order="F"))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TTCore{self.array.shape}"
 
@@ -143,9 +140,6 @@ class TTTensor:
     def ranks(self) -> tuple:
         """Bond ranks ``(R_0, ..., R_N)`` with ``R_0 = R_N = 1``."""
         return (1,) + tuple(c.r_right for c in self.cores)
-
-    def copy(self) -> "TTTensor":
-        return TTTensor([c.copy() for c in self.cores])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TTTensor(dims={self.dims}, ranks={self.ranks})"

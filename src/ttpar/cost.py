@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .comm import CostModelParams, _log2_ceil
+from .comm import CostModelParams, _check_count, _log2_ceil
+from .core import _check_chain
 from .errors import ContractError
 from ._kernels import SVD_FLOPS_PER_MN2
 from .ops import _cholesky_flops
-from .parallel import _BACKWARD, ROUNDING_VARIANTS, _sweeps
+from .parallel import _BACKWARD, _check_variant, _sweeps
 
 OP_KINDS = (
     "summation",
@@ -98,9 +99,10 @@ def estimate(op_kind, N, I, R, P=1, L=None, m=None, b=None) -> CostReport:
     I*R and R, the shape orthonormalization sweeps feed it).
     """
     kind = _canon(op_kind)
-    N, I, R, P = float(N), float(I), float(R), int(P)
-    if min(N, I, R, P) < 1:
-        raise ContractError("N, I, R, and P must all be positive")
+    P = _check_count("P", P)
+    N, I, R = float(N), float(I), float(R)
+    if min(N, I, R) < 1:
+        raise ContractError("N, I, and R must all be positive")
     if L is not None and not 1 <= L <= R:
         raise ContractError(f"L must satisfy 1 <= L <= R, got L={L}, R={R}")
     lg = _log2_ceil(P)
@@ -148,45 +150,29 @@ def estimate(op_kind, N, I, R, P=1, L=None, m=None, b=None) -> CostReport:
     ])
 
 
-def _rank_chain(ranks, n_modes: int) -> tuple:
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != n_modes + 1 or ranks[0] != 1 or ranks[-1] != 1:
-        raise ContractError(f"bad rank chain {ranks} for {n_modes} modes")
-    return ranks
-
-
-def _chain_check(dims, ranks, out_ranks):
-    dims = tuple(int(d) for d in dims)
-    ranks = _rank_chain(ranks, len(dims))
-    if out_ranks is None:
-        out_ranks = ranks
-    else:
-        out_ranks = tuple(int(r) for r in out_ranks)
-        if len(out_ranks) != len(ranks):
-            raise ContractError("out_ranks must match the bond count")
-        if any(o > r for o, r in zip(out_ranks, ranks)):
-            raise ContractError("out_ranks cannot exceed the input ranks")
-    return dims, ranks, out_ranks
-
-
 def chain_estimate(op_kind, dims, ranks, P=1, out_ranks=None,
                    variant="LRLI", other_ranks=None) -> CostReport:
     """Leading-term cost on an actual rank chain, phase-aligned with the
     instrumented sweeps.
 
-    ``ranks`` is the input bond chain (R_0 = R_N = 1); ``out_ranks`` the
-    post-truncation chain for ``rounding`` (defaults to no truncation).
-    The rounding ``variant`` matters because explicit sweeps form Q on wide
-    panels while implicit ones apply stored factors to narrow carries.
-    ``other_ranks`` is the chain of ``hadamard``'s second operand (defaults
-    to ``ranks``): one flop per entry of the product, whose bond ranks are
-    the products of the two chains'.
+    ``ranks`` is the input bond chain; ``out_ranks`` the post-truncation
+    chain for ``rounding`` (defaults to no truncation), none of its entries
+    above ``ranks`` (else `ContractError`).  The rounding ``variant`` matters
+    because explicit sweeps form Q on wide panels while implicit ones apply
+    stored factors to narrow carries.  ``other_ranks`` is the chain of
+    ``hadamard``'s second operand (defaults to ``ranks``): one flop per entry
+    of the product, whose bond ranks are the products of the two chains'.
+    Each chain obeys the tensors' rule (`core._check_chain`: `ShapeError`),
+    ``P`` `comm._check_count`'s and ``variant`` `RoundingOptions`'s (both
+    `ContractError`).
     """
     kind = _canon(op_kind)
-    if P < 1:
-        raise ContractError("P must be positive")
-    dims, ranks, out = _chain_check(dims, ranks, out_ranks)
-    other = ranks if other_ranks is None else _rank_chain(other_ranks, len(dims))
+    P = _check_count("P", P)
+    dims, ranks = _check_chain(dims, ranks)
+    out = ranks if out_ranks is None else _check_chain(dims, out_ranks)[1]
+    if any(o > r for o, r in zip(out, ranks)):
+        raise ContractError("out_ranks cannot exceed the input ranks")
+    other = ranks if other_ranks is None else _check_chain(dims, other_ranks)[1]
     N = len(dims)
     lg = _log2_ceil(P)
     f = {"TSQR": 0.0, "AppQ": 0.0, "Other": 0.0}
@@ -211,9 +197,7 @@ def chain_estimate(op_kind, dims, ranks, P=1, out_ranks=None,
     else:  # orthonormalization (a right sweep) or rounding
         orth, trunc, implicit = _BACKWARD, None, False
         if kind == "rounding":
-            variant = str(variant).upper()
-            if variant not in ROUNDING_VARIANTS:
-                raise ContractError(f"unknown rounding variant {variant!r}")
+            variant = _check_variant(variant)
             orth, trunc = _sweeps(variant)
             implicit = variant.endswith("I")
         # panel rows m and bond rank b of each step, and the rows of the next

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpstrf
 
 from ._kernels import dgemm, dsyrk, dtrmm
-from .comm import SerialComm
+from .comm import SerialComm, _check_count
 from .core import TTCore, TTTensor
 from .errors import CapacityError, ContractError, NumericError, ShapeError
 from .parallel import (
@@ -125,13 +125,12 @@ def hadamard(x, y, max_rank_product: int | None = None):
     core's size).  Its row index a * rbl + c pairs x's row a with y's row c,
     and likewise its columns.
     Refuses to build bonds above ``max_rank_product`` (default
-    `HADAMARD_RANK_GUARD`, at least 1) since memory grows with the rank
-    product squared.
+    `HADAMARD_RANK_GUARD`; else an integer >= 1, or `ContractError`) since
+    memory grows with the rank product squared (`CapacityError`).
     """
     (dx, dy), leave = _check_operands(x, y)
-    guard = HADAMARD_RANK_GUARD if max_rank_product is None else int(max_rank_product)
-    if guard < 1:
-        raise ContractError(f"max_rank_product must be >= 1, got {guard}")
+    guard = (HADAMARD_RANK_GUARD if max_rank_product is None
+             else _check_count("max_rank_product", max_rank_product))
     ranks = tuple(rx * ry for rx, ry in zip(dx.ranks, dy.ranks))
     if max(ranks) > guard:
         raise CapacityError(
@@ -457,6 +456,10 @@ def apply_operator(op: KroneckerOperator, x, round_eps: float | None = None,
 
 _OP_MAGIC = "KRONOP1"
 
+#: `load_operator` refuses a mode larger than this (model 2's largest mode)
+#: before it allocates the mode's CSR index.
+_OP_MAX_DIM = 10**8
+
 
 def save_operator(path, op: KroneckerOperator) -> None:
     """Text format: magic, counts, dims, then ``factor t n nnz`` triplet blocks."""
@@ -483,6 +486,8 @@ def load_operator(path) -> KroneckerOperator:
         dims = tuple(int(v) for v in lines[2].split())
         if len(dims) != n_modes:
             raise ShapeError(f"header declares {n_modes} modes but lists {len(dims)} dims")
+        if any(d > _OP_MAX_DIM for d in dims):
+            raise CapacityError(f"operator dims {dims} exceed the mode-size guard ({_OP_MAX_DIM})")
         k = 3
         terms = []
         for t in range(n_terms):

@@ -27,13 +27,27 @@ from math import frexp, sqrt
 import numpy as np
 from scipy.linalg.blas import dasum
 
-from .comm import Communicator, SerialComm
+from .comm import Communicator, SerialComm, _check_count
 from .core import TTCore, TTTensor, fill_random_slab, _check_chain
 from ._kernels import SVD_FLOPS_PER_MN2, dgemm, dgesdd, dtrmm
 from .errors import ContractError, NumericError, ShapeError
 from .tsqr import tsqr_apply_q, tsqr_factor
 
 ROUNDING_VARIANTS = ("LRLI", "LRL", "RLRI", "RLR")
+
+
+def _check_variant(variant) -> str:
+    """One of `ROUNDING_VARIANTS` in any case, returned upper-case."""
+    v = str(variant).upper()
+    if v not in ROUNDING_VARIANTS:
+        raise ContractError(f"unknown rounding variant {v!r}; pick from {ROUNDING_VARIANTS}")
+    return v
+
+
+def _check_tolerance(name: str, eps) -> None:
+    """A truncation tolerance is ``>= 0``; NaN fails the test too."""
+    if not eps >= 0:
+        raise ContractError(f"{name} must be nonnegative, got {eps}")
 
 
 def block_bounds(extent: int, nranks: int, rank: int) -> tuple:
@@ -388,13 +402,15 @@ def truncated_svd(a, eps: float, max_rank: int | None = None) -> TruncatedSVD:
 
     Keeps at least one singular triple; ``eps = 0`` drops exact zeros only.
     ``max_rank`` caps the rank afterwards (``capped`` reports whether the cap
-    cut below the eps-rank).
+    cut below the eps-rank).  ``eps`` and ``max_rank`` obey `RoundingOptions`'s
+    rules for ``eps0`` and ``max_rank``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={a.ndim}")
-    if eps < 0:
-        raise ContractError(f"eps must be nonnegative, got {eps}")
+    _check_tolerance("eps", eps)
+    if max_rank is not None:
+        max_rank = _check_count("max_rank", max_rank)
     if not np.isfinite(a).all():
         raise NumericError("non-finite entries in SVD input")
     u, s, vt, info = dgesdd(a)
@@ -409,12 +425,9 @@ def truncated_svd(a, eps: float, max_rank: int | None = None) -> TruncatedSVD:
     eps_unit = eps / unit
     keep = int(np.argmax(tail_sq <= eps_unit * eps_unit))
     keep = max(keep, 1)
-    capped = False
-    if max_rank is not None:
-        if max_rank < 1:
-            raise ContractError(f"max_rank must be >= 1, got {max_rank}")
-        if keep > max_rank:
-            keep, capped = max_rank, True
+    capped = max_rank is not None and keep > max_rank
+    if capped:
+        keep = max_rank
     return TruncatedSVD(
         u[:, :keep].copy(),
         s[:keep].copy(),
@@ -428,10 +441,12 @@ def truncated_svd(a, eps: float, max_rank: int | None = None) -> TruncatedSVD:
 class RoundingOptions:
     """Target accuracy and strategy for `round_tt`.
 
-    ``eps0`` is relative: the result y satisfies ||y - x|| <= eps0 ||x||.
-    ``variant`` picks the sweep order (orthonormalize right then truncate
-    left-to-right for ``RLR*``, the mirror for ``LRL*``) and whether the
-    orthonormalization sweep stays implicit (trailing ``I``).
+    ``eps0 >= 0`` is relative: the result y satisfies ||y - x|| <= eps0 ||x||.
+    ``variant``, in any case, picks the sweep order (orthonormalize right then
+    truncate left-to-right for ``RLR*``, the mirror for ``LRL*``) and whether
+    the orthonormalization sweep stays implicit (trailing ``I``).  A
+    ``max_rank`` caps every output bond and is an integer >= 1.  Any other
+    value (NaN included) is a `ContractError`.
     """
 
     eps0: float
@@ -439,15 +454,10 @@ class RoundingOptions:
     max_rank: int | None = None
 
     def __post_init__(self):
-        if self.eps0 < 0:
-            raise ContractError(f"eps0 must be nonnegative, got {self.eps0}")
-        self.variant = str(self.variant).upper()
-        if self.variant not in ROUNDING_VARIANTS:
-            raise ContractError(
-                f"unknown rounding variant {self.variant!r}; pick from {ROUNDING_VARIANTS}"
-            )
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ContractError(f"max_rank must be >= 1, got {self.max_rank}")
+        _check_tolerance("eps0", self.eps0)
+        self.variant = _check_variant(self.variant)
+        if self.max_rank is not None:
+            self.max_rank = _check_count("max_rank", self.max_rank)
 
 
 def _canonical_zero(dt: DistTTTensor, meta: dict) -> DistTTTensor:

@@ -9,7 +9,7 @@ import pytest
 from tests_support import child_env
 from ttpar import hadamard, random_tt
 from ttpar.cli import MODELS, build_parser, main
-from ttpar.errors import ContractError
+from ttpar.errors import ContractError, NumericError
 
 
 def run_cli(argv):
@@ -88,6 +88,9 @@ def test_run_round_reports_sweep_phases(tmp_path):
                     "--P", 2, "--eps0", "1e-8", "--csv", out]) == 0
     phases = {r[4] for r in read_csv(out)[1:]}
     assert phases == {"TSQR", "AppQ", "Other"}
+    assert run_cli(["run", "--op", "round", "--model", 1, "--scale", 0.004,
+                    "--P", 2, "--variant", "rlri", "--csv", out]) == 0
+    assert {r[2] for r in read_csv(out)[1:]} == {"RLRI"}
 
 
 def test_run_counters_are_deterministic(tmp_path):
@@ -208,6 +211,13 @@ def test_verify_reports_failures_with_exit_2(monkeypatch, capsys):
     assert run_cli(["verify"]) == 2
     assert "FAIL" in capsys.readouterr().out
 
+    def diverge(quick=True):
+        raise NumericError("forced divergence")
+
+    monkeypatch.setattr(cli, "run_checks", diverge)
+    assert run_cli(["verify"]) == 2
+    assert capsys.readouterr().err == "ttpar: numeric failure: forced divergence\n"
+
 
 # ------------------------------------------------------------- exit codes
 
@@ -223,6 +233,15 @@ def test_contract_errors_exit_1():
                     "--P", 0]) == 1
     assert run_cli(["cost", "--op", "nonsense", "--N", 2, "--I", 2, "--R", 2]) == 1
     assert run_cli(["run", "--op", "dot", "--model", 1, "--scale", -1]) == 1
+    for eps0 in ("nan", "-1"):
+        assert run_cli(["run", "--model", 2, "--scale", "1e-5", "--op", "round",
+                        "--P", 2, "--eps0", eps0]) == 1
+
+
+def test_os_error_exits_1(tmp_path, capsys):
+    assert run_cli(["gen", "--model", 2, "--scale", "1e-5",
+                    "--out", tmp_path / "missing" / "x.tt"]) == 1
+    assert capsys.readouterr().err.startswith("ttpar: [Errno")
 
 
 def test_hadamard_rank_cap_below_one_is_a_contract_error(capsys):

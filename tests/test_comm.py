@@ -96,6 +96,13 @@ def test_self_exchange_rejected():
     assert all(run_spmd(2, body).results)
 
 
+def test_rank_count_must_be_an_integer_of_at_least_one():
+    """run_spmd applies the rank-count rule the cost model applies to P."""
+    for nranks in (0, -1, 2.5, True):
+        with pytest.raises(ContractError, match="^P must be"):
+            run_spmd(nranks, lambda comm: None)
+
+
 def test_unmatched_sendrecv_deadlocks_with_diagnostic():
     """A lone sendrecv times out with a message naming the stuck endpoints."""
 

@@ -65,6 +65,11 @@ def test_tensor_validation():
         TTTensor([np.ones((2, 3, 1))])
     with pytest.raises(ShapeError):
         TTTensor([])
+    with pytest.raises(ShapeError, match="3-way"):
+        TTTensor([np.ones((3, 1))])
+    for shape in ((0, 3, 1), (1, 3, 0)):
+        with pytest.raises(ShapeError, match="ranks must be positive"):
+            TTTensor([np.ones(shape)])
 
 
 def test_entry_matches_einsum_oracle():
@@ -157,6 +162,8 @@ def test_random_tt_validates_chain():
         random_tt((3, 3), (2, 2, 1), seed=0)
     with pytest.raises(ShapeError):
         random_tt((3, 0), (1, 2, 1), seed=0)
+    with pytest.raises(ShapeError, match="ranks must be positive"):
+        random_tt((3, 3), (1, 0, 1), seed=0)
 
 
 def _slice_from_stream(seed, n, i, rl, rr):

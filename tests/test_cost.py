@@ -17,7 +17,7 @@ from ttpar import (
     tsqr,
 )
 from ttpar.cost import OP_KINDS, chain_estimate, estimate
-from ttpar.errors import ContractError
+from ttpar.errors import ContractError, ShapeError
 from ttpar.ops import hadamard
 
 
@@ -156,7 +156,7 @@ def test_hadamard_chain_takes_the_second_operands_ranks():
     assert got == 7 * 50 + 5 * 50 * 50 + 6 * 50
     assert chain_estimate("hadamard", dims, x.ranks).flops == 7 * 2500 + 5 * 50**4 + 6 * 2500
     for bad in ((1, 2, 1), (2, 1, 1, 1), (1, 1, 1, 3)):
-        with pytest.raises(ContractError):
+        with pytest.raises(ShapeError):
             chain_estimate("hadamard", dims, x.ranks, other_ranks=bad)
 
 
@@ -254,8 +254,21 @@ def test_counters_within_ten_percent_of_leading_terms():
 
 
 def test_chain_validation():
-    with pytest.raises(ContractError, match="rank chain"):
+    """A malformed chain is refused as a tensor with it would be; a rank count
+    that is not an integer >= 1 is refused too."""
+    with pytest.raises(ShapeError, match="end ranks"):
         chain_estimate("norm", (4, 4), (1, 2, 2))
+    for kind, dims, ranks in (("norm", (4, 4), (1, 0, 1)), ("dot", (0, 4), (1, 2, 1)),
+                              ("rounding", (4, -3), (1, 2, 1))):
+        with pytest.raises(ShapeError, match="positive"):
+            chain_estimate(kind, dims, ranks)
+    with pytest.raises(ShapeError, match="positive"):
+        chain_estimate("round", (4, 4), (1, 2, 1), out_ranks=(1, 0, 1))
+    for P in (0, -1, 2.5, float("nan"), True):
+        with pytest.raises(ContractError, match="^P must be"):
+            chain_estimate("dot", (4, 4), (1, 2, 1), P=P)
+        with pytest.raises(ContractError, match="^P must be"):
+            estimate("dot", 3, 4, 2, P=P)
     with pytest.raises(ContractError, match="exceed"):
         chain_estimate("rounding", (4, 4), (1, 2, 1), out_ranks=(1, 3, 1))
     with pytest.raises(ContractError, match="variant"):

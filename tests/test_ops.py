@@ -77,6 +77,9 @@ def test_hadamard_rank_guard():
         hadamard(x, x)
     z = hadamard(x, x, max_rank_product=4900)
     assert z.ranks == (1, 4900, 1)
+    for cap in (2.5, float("nan"), "9"):
+        with pytest.raises(ContractError, match="max_rank_product must be an integer"):
+            hadamard(x, x, max_rank_product=cap)
 
 
 def test_mixed_flavors_rejected():
@@ -483,11 +486,13 @@ def test_apply_operator_sums_its_terms_in_one_add():
 
 def test_apply_operator_max_rank_needs_round_eps():
     """max_rank is read only when rounding: alone, it is refused before any
-    term is applied."""
+    term is applied.  round_eps obeys `RoundingOptions`'s eps0 rule."""
     x, _ = pair(35)
     op = kron_sum_operator(x.dims)
     with pytest.raises(ContractError, match="round_eps"):
         apply_operator(op, x, max_rank=2)
+    with pytest.raises(ContractError, match="eps0 must be nonnegative, got nan"):
+        apply_operator(op, x, round_eps=float("nan"))
 
     def body(comm):
         dx = distribute(x, comm)
@@ -580,6 +585,17 @@ def test_operator_load_rejects_garbage(tmp_path):
     bad.write_text("KRONOP1\n1 1\n0\nfactor 0 0 0\n")
     with pytest.raises(ShapeError, match="positive"):
         load_operator(bad)  # a mode of size 0
+    for text, match in (
+        ("KRONOP1\n2 1\n3\n", "declares 2 modes"),
+        ("KRONOP1\n1 1\n3\nfactor 0 1 1\n0 0 1.0\n", "block header"),
+        ("KRONOP1\n1 1\n3\nfactor 0 0 2\n0 0 1.0\n", "truncated"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(ShapeError, match=match):
+            load_operator(bad)
+    bad.write_text("KRONOP1\n1 1\n1000000000000\nfactor 0 0 1\n0 0 1.0\n")
+    with pytest.raises(CapacityError, match="mode-size guard"):
+        load_operator(bad)  # refused before the 10^12-row CSR index is allocated
     for value in ("nan", "inf", "-inf"):
         bad.write_text(f"KRONOP1\n1 1\n3\nfactor 0 0 2\n0 0 1.0\n1 1 {value}\n")
         with pytest.raises(NumericError, match="non-finite"):

@@ -112,6 +112,8 @@ def test_bad_slab_shape_rejected():
     comm = SerialComm()
     with pytest.raises(ShapeError, match="block rule"):
         DistTTTensor(comm, (3, 3), (1, 2, 1), [np.zeros((1, 3, 2)), np.zeros((2, 2, 1))])
+    with pytest.raises(ShapeError, match="1 slabs for 2 modes"):
+        DistTTTensor(comm, (3, 3), (1, 2, 1), [np.zeros((1, 3, 2))])
 
 
 # ------------------------------------------------------- orthonormalization
@@ -237,8 +239,16 @@ def test_truncated_svd_max_rank_cap():
     assert f.discarded_tail == pytest.approx(1.0)
     with pytest.raises(ContractError):
         truncated_svd(np.eye(2), eps=0.0, max_rank=0)
-    with pytest.raises(ContractError):
-        truncated_svd(np.eye(2), eps=-1.0)
+    for eps in (-1.0, float("nan")):
+        with pytest.raises(ContractError, match="eps must be nonnegative"):
+            truncated_svd(np.eye(3), eps=eps)
+    for cap in (2.5, float("nan")):
+        with pytest.raises(ContractError, match="max_rank must be an integer"):
+            truncated_svd(np.eye(3), eps=0.0, max_rank=cap)
+    with pytest.raises(ShapeError, match="matrix"):
+        truncated_svd(np.ones(3), eps=0.0)
+    with pytest.raises(NumericError, match="non-finite"):
+        truncated_svd(np.diag([1.0, np.inf]), eps=0.0)
 
 
 @pytest.mark.parametrize("c", [1e-170, 1e170])
@@ -416,10 +426,15 @@ def test_round_single_mode_is_identity():
 def test_round_rejects_bad_options():
     with pytest.raises(ContractError, match="variant"):
         RoundingOptions(1e-6, "XYZ")
-    with pytest.raises(ContractError, match="eps0"):
-        RoundingOptions(-1e-6)
+    for eps0 in (-1e-6, float("nan")):
+        with pytest.raises(ContractError, match="eps0"):
+            RoundingOptions(eps0)
     with pytest.raises(ContractError, match="max_rank"):
         RoundingOptions(1e-6, "RLR", max_rank=0)
+    for cap in (2.5, float("nan"), True):
+        with pytest.raises(ContractError, match="max_rank must be an integer"):
+            RoundingOptions(1e-8, max_rank=cap)
+    assert RoundingOptions(1e-6, "rlri", max_rank=np.int64(3)) == RoundingOptions(1e-6, "RLRI", 3)
 
 
 def test_round_implicit_flop_savings():

@@ -76,13 +76,22 @@ def test_local_qr_short_and_empty_blocks():
 
 
 def test_local_qr_rejects_nonfinite():
-    """NaN/inf inputs raise numeric errors instead of propagating garbage."""
+    """NaN/inf inputs raise numeric errors, and misshapen blocks shape errors,
+    instead of propagating garbage."""
     a = np.ones((4, 2))
     a[1, 1] = np.nan
     with pytest.raises(NumericError):
         local_qr(a)
     with pytest.raises(ShapeError):
         local_qr(np.ones(4))
+    with pytest.raises(ShapeError, match="at least one column"):
+        local_qr(np.ones((4, 0)))
+    fac, _ = local_qr(np.ones((4, 2)))
+    for c in (np.ones(2), np.ones((3, 1))):
+        with pytest.raises(ShapeError, match=r"\(2, n\) block"):
+            fac.apply(c)
+    with pytest.raises(ShapeError, match="triangle"):
+        fac.explicit_q(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("shape", [(400, 50), (1000, 64), (200, 48), (7, 3), (1, 1)])
@@ -599,6 +608,8 @@ def test_factor_requires_matching_communicator():
         tsqr_apply_q(run.results[0], np.eye(3), None)
     with pytest.raises(ContractError):
         tsqr_apply_q(tsqr_factor(a, SerialComm())[0], np.eye(3), None)
+    with pytest.raises(ShapeError, match=r"\(3, k\) block"):
+        tsqr_apply_q(tsqr_factor(a, SerialComm())[0], np.eye(2), SerialComm())
     with pytest.raises(ContractError):
         tsqr_factor(a, SerialComm(), variant="bogus")
 
