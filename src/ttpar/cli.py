@@ -117,7 +117,10 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _run_body(args, dims, ranks):
-    """Build the per-rank closure; returns (trace row snapshot, summary)."""
+    """Build the per-rank closure; returns (trace row snapshot, summary).
+    The rounding options are checked here, before any rank generates x."""
+    opts = (RoundingOptions(eps0=args.eps0, variant=args.variant, max_rank=args.rank_cap)
+            if args.op == "round" else None)
 
     def body(comm):
         x = DistTTTensor.random(comm, dims, ranks, args.seed)
@@ -143,8 +146,6 @@ def _run_body(args, dims, ranks):
             out = orthonormalize(x, direction="right")
             summary = {"output_ranks": out.ranks}
         else:
-            opts = RoundingOptions(eps0=args.eps0, variant=args.variant,
-                                   max_rank=args.rank_cap)
             out = round_tt(work, opts)
             summary = {
                 "input_ranks": work.ranks,

@@ -206,8 +206,17 @@ def full(t: TTTensor, max_entries: int = DEFAULT_FULL_CAPACITY) -> np.ndarray:
 
 
 def _check_chain(dims, ranks):
-    dims = tuple(int(d) for d in dims)
-    ranks = tuple(int(r) for r in ranks)
+    """``(dims, ranks)`` as tuples of ints, or `ShapeError`: every entry is
+    integral (4.0 passes; 4.7, NaN, an infinity or "4" does not), dims are
+    >= 1, there is one rank more than dims, and ranks are >= 1 with unit
+    ends."""
+    raw = tuple(dims), tuple(ranks)
+    try:
+        dims, ranks = (tuple(map(int, seq)) for seq in raw)
+    except (TypeError, ValueError, OverflowError):  # NaN, an infinity, None
+        dims = ranks = None
+    if (dims, ranks) != raw:  # int() truncated or parsed an entry
+        raise ShapeError(f"dims and ranks must be integers, got {raw[0]} and {raw[1]}")
     if not dims or any(d < 1 for d in dims):
         raise ShapeError(f"dims must be positive, got {dims}")
     if len(ranks) != len(dims) + 1:

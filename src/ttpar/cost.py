@@ -94,15 +94,16 @@ def _report(kind, phases) -> CostReport:
 def estimate(op_kind, N, I, R, P=1, L=None, m=None, b=None) -> CostReport:
     """Leading-term cost of one operation at uniform mode size and rank.
 
-    ``L`` is the output rank for ``rounding`` (default R/2, the halved-rank
-    regime).  ``m``/``b`` override the panel shape for ``tsqr`` (default
-    I*R and R, the shape orthonormalization sweeps feed it).
+    ``N``, ``I`` and ``R`` are each >= 1 (else, NaN included,
+    `ContractError`).  ``L`` is the output rank for ``rounding`` (default
+    R/2, the halved-rank regime).  ``m``/``b`` override the panel shape for
+    ``tsqr`` (default I*R and R, the shape orthonormalization sweeps feed it).
     """
     kind = _canon(op_kind)
     P = _check_count("P", P)
     N, I, R = float(N), float(I), float(R)
-    if min(N, I, R) < 1:
-        raise ContractError("N, I, and R must all be positive")
+    if not (N >= 1 and I >= 1 and R >= 1):  # NaN fails the test too
+        raise ContractError(f"N, I, and R must all be positive, got {N}, {I} and {R}")
     if L is not None and not 1 <= L <= R:
         raise ContractError(f"L must satisfy 1 <= L <= R, got L={L}, R={R}")
     lg = _log2_ceil(P)

@@ -9,16 +9,17 @@ once, and the Hadamard product takes slicewise Kronecker products -- none of
 them communicate.  Inner products and norms reduce one small Gram matrix per
 mode (an allreduce each); the symmetric norm factors each carry by an
 unpivoted Cholesky (dpotrf) and runs the pivoted, checked one (dpstrf) only
-when dpotrf rejects the carry.  `apply_operator`, the only op that moves core
-data between ranks (just the mode slices its sparsity couples), sums its
-terms in one `add` call.
+when dpotrf rejects the carry.  `add` and `apply_operator` place their
+operands' slabs by one rule, `_stack`; `apply_operator`, the only op that
+moves core data between ranks (just the mode slices its sparsity couples),
+writes each term's mode product straight into its block of the sum.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,33 +88,41 @@ def scale(x, s: float):
     return leave(DistTTTensor(dt.comm, dt.dims, dt.ranks, out))
 
 
-def add(x, *more):
-    """TT sum of one or more operands: end cores concatenate, interior cores
-    stack block-diagonally; bond ranks add and no data moves between ranks.
+def _stack(like: DistTTTensor, ranks, modes) -> DistTTTensor:
+    """A TT sum with bond ranks ``ranks``, on ``like``'s communicator and
+    dims, each of its cores allocated once.
 
-    Each slab is copied into its block of a zeroed core, allocated once, at
-    offsets that advance along the inner bonds only (the unit end bonds are
-    shared).  A one-mode chain sums in argument order; one operand is copied.
+    ``modes`` yields, mode by mode, the operands' slabs, with as many rows as
+    ``like``'s; they may be produced lazily.  End cores concatenate and
+    interior cores stack block-diagonally: each slab is copied into its block
+    of a zeroed core at offsets that advance along the inner bonds only (the
+    unit end bonds are shared).  A one-mode chain sums its slabs in order.
     """
-    ds, leave = _check_operands(x, *more)
-    n_modes = ds[0].ndim
-    ranks = (1,) + tuple(map(sum, zip(*(dt.ranks for dt in ds))))[1:-1] + (1,)
-    if n_modes == 1:  # every block is the whole core
-        z = ds[0].local[0].copy(order="F")
-        for dt in ds[1:]:
-            z += dt.local[0]
-        return leave(DistTTTensor(ds[0].comm, ds[0].dims, ranks, [z]))
+    last = len(ranks) - 2
     out = []
-    for n, slabs in enumerate(zip(*(dt.local for dt in ds))):
-        z = np.zeros((ranks[n], slabs[0].shape[1], ranks[n + 1]), order="F")
+    for n, slabs in enumerate(modes):
+        if last == 0:  # every block is the whole core
+            out.append(reduce(np.add, slabs).copy(order="F"))
+            continue
+        z = np.zeros((ranks[n], like.local[n].shape[1], ranks[n + 1]), order="F")
         i = j = 0
         for a in slabs:
             ral, _, rar = a.shape
             z[i:i + ral, :, j:j + rar] = a
             i += ral if n > 0 else 0
-            j += rar if n < n_modes - 1 else 0
+            j += rar if n < last else 0
         out.append(z)
-    return leave(DistTTTensor(ds[0].comm, ds[0].dims, ranks, out))
+    return DistTTTensor(like.comm, like.dims, ranks, out)
+
+
+def add(x, *more):
+    """TT sum of one or more operands (`_stack`): bond ranks add and no data
+    moves between ranks.  A one-mode chain sums in argument order; one
+    operand is copied.
+    """
+    ds, leave = _check_operands(x, *more)
+    ranks = (1,) + tuple(map(sum, zip(*(dt.ranks for dt in ds))))[1:-1] + (1,)
+    return leave(_stack(ds[0], ranks, zip(*(dt.local for dt in ds))))
 
 
 def hadamard(x, y, max_rank_product: int | None = None):
@@ -394,64 +403,65 @@ class KroneckerOperator:
         return cls(tuple(dims), [[sp.identity(int(d), format="csr") for d in dims]])
 
 
-def _apply_term(factors, dt: DistTTTensor) -> DistTTTensor:
-    """One Kronecker term applied to ``dt``.  Row k of ``got`` is slice
-    ``need[k]``, left rank fastest, as slices also travel; rank q owns the
-    run ``cut[q]:cut[q + 1]`` of the sorted ``need``, so it lands as a block."""
+def _mode_product(a, dt: DistTTTensor, n: int) -> np.ndarray:
+    """Sparse factor ``a`` applied to this rank's slab of mode ``n``, as a
+    ``(rl, rows, rr)`` view.  Row k of ``got`` is slice ``need[k]``, left rank
+    fastest, as slices also travel; rank q owns the run ``cut[q]:cut[q + 1]``
+    of the sorted ``need``, so it lands as a block."""
     comm, me, nranks = dt.comm, dt.comm.rank, dt.comm.size
-    out = []
-    for n, slab in enumerate(dt.local):
-        a = factors[n]
-        rl, d_loc, rr = slab.shape
-        lo, hi = dt.local_bounds(n)
-        rows_mine = a[lo:hi]
-        need = np.unique(rows_mine.indices)
-        edges = [block_bounds(dt.dims[n], nranks, q)[0] for q in range(nranks + 1)]
-        cut = np.searchsorted(need, edges)
-        got = np.empty((need.size, rr, rl))
-        got[cut[me]:cut[me + 1]] = slab[:, need[cut[me]:cut[me + 1]] - lo].transpose(1, 2, 0)
-        # pair {p, q} meets at round (p + q) mod P, so all P rounds are
-        # needed; each rank self-pairs (and idles) in exactly one of them
-        for rnd in range(nranks):
-            q = (rnd - me) % nranks
-            if q == me:
-                continue
-            theirs = np.unique(a[edges[q]:edges[q + 1]].indices)
-            send = theirs[(theirs >= lo) & (theirs < hi)]
-            data = comm.sendrecv(q, slab[:, send - lo].transpose(1, 2, 0).ravel())
-            run = got[cut[q]:cut[q + 1]]
-            if data.size != run.size:
-                raise ContractError(
-                    f"operator exchange with rank {q} delivered {data.size} values, "
-                    f"expected {run.size}"
-                )
-            run[...] = data.reshape(run.shape)
-        local = rows_mine[:, need] @ got.reshape((need.size, rr * rl))
-        comm.trace.add_flops(2.0 * rows_mine.nnz * rl * rr)
-        out.append(np.asfortranarray(local.reshape(d_loc, rr, rl).transpose(2, 0, 1)))
-    return DistTTTensor(comm, dt.dims, dt.ranks, out)
+    slab = dt.local[n]
+    rl, d_loc, rr = slab.shape
+    lo, hi = dt.local_bounds(n)
+    rows_mine = a[lo:hi]
+    need = np.unique(rows_mine.indices)
+    edges = [block_bounds(dt.dims[n], nranks, q)[0] for q in range(nranks + 1)]
+    cut = np.searchsorted(need, edges)
+    got = np.empty((need.size, rr, rl))
+    got[cut[me]:cut[me + 1]] = slab[:, need[cut[me]:cut[me + 1]] - lo].transpose(1, 2, 0)
+    # pair {p, q} meets at round (p + q) mod P, so all P rounds are
+    # needed; each rank self-pairs (and idles) in exactly one of them
+    for rnd in range(nranks):
+        q = (rnd - me) % nranks
+        if q == me:
+            continue
+        theirs = np.unique(a[edges[q]:edges[q + 1]].indices)
+        send = theirs[(theirs >= lo) & (theirs < hi)]
+        data = comm.sendrecv(q, slab[:, send - lo].transpose(1, 2, 0).ravel())
+        run = got[cut[q]:cut[q + 1]]
+        if data.size != run.size:
+            raise ContractError(
+                f"operator exchange with rank {q} delivered {data.size} values, "
+                f"expected {run.size}"
+            )
+        run[...] = data.reshape(run.shape)
+    local = rows_mine[:, need] @ got.reshape((need.size, rr * rl))
+    comm.trace.add_flops(2.0 * rows_mine.nnz * rl * rr)
+    return local.reshape(d_loc, rr, rl).transpose(2, 0, 1)
 
 
 def apply_operator(op: KroneckerOperator, x, round_eps: float | None = None,
                    max_rank: int | None = None):
-    """Apply a Kronecker-sum operator: mode-2 products per term, then one
-    `add` call that sums all the terms.
+    """Apply a Kronecker-sum operator: mode by mode, each term's mode product
+    is written straight into its block of the sum (`_stack`), so no term
+    tensor is built and the products are made one at a time.
 
     Each rank fetches only the mode slices the sparsity pattern couples (a
     symmetric round-robin of pairwise exchanges, none at P = 1; the operator
     is replicated so both sides compute the transfer lists independently).
     Passing ``round_eps`` compresses the summed result in place, to at most
     ``max_rank`` if given; ``max_rank`` without ``round_eps`` is an error.
+    Both are checked before any term is applied.
     """
     if round_eps is None and max_rank is not None:
         raise ContractError("max_rank applies only when rounding; pass round_eps too")
+    opts = None if round_eps is None else RoundingOptions(eps0=round_eps, max_rank=max_rank)
     dt, leave = _enter(x)
     if op.dims != dt.dims:
         raise ShapeError(f"operator dims {op.dims} do not match tensor dims {dt.dims}")
-    z = add(*(_apply_term(factors, dt) for factors in op.terms))
-    if round_eps is not None:
-        z = round_tt(z, RoundingOptions(eps0=round_eps, max_rank=max_rank))
-    return leave(z)
+    ranks = (1,) + tuple(len(op.terms) * r for r in dt.ranks[1:-1]) + (1,)
+    modes = ((_mode_product(f[n], dt, n) for f in op.terms) for n in range(dt.ndim))
+    z = _stack(dt, ranks, modes)
+    return leave(z if opts is None else round_tt(z, opts))
 
 
 _OP_MAGIC = "KRONOP1"

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from tests_support import child_env
-from ttpar import hadamard, random_tt
+from ttpar import DistTTTensor, hadamard, random_tt
 from ttpar.cli import MODELS, build_parser, main
 from ttpar.errors import ContractError, NumericError
 
@@ -236,6 +236,20 @@ def test_contract_errors_exit_1():
     for eps0 in ("nan", "-1"):
         assert run_cli(["run", "--model", 2, "--scale", "1e-5", "--op", "round",
                         "--P", 2, "--eps0", eps0]) == 1
+
+
+def test_bad_rounding_options_exit_1_before_any_rank_generates_x(monkeypatch, capsys):
+    """eps0 and the rank cap of `run --op round` are checked before
+    `run_spmd` starts, so no rank generates x or forms 2x - x."""
+    calls = []
+    monkeypatch.setattr(DistTTTensor, "random", classmethod(lambda cls, *a: calls.append(a)))
+    for flag, value, message in (("--eps0", "nan", "eps0 must be nonnegative, got nan"),
+                                 ("--eps0", "-1", "eps0 must be nonnegative, got -1.0"),
+                                 ("--rank-cap", 0, "max_rank must be >= 1, got 0")):
+        assert run_cli(["run", "--model", 2, "--scale", "1e-5", "--op", "round",
+                        "--P", 2, flag, value]) == 1
+        assert capsys.readouterr().err.strip() == f"ttpar: {message}"
+    assert calls == []
 
 
 def test_os_error_exits_1(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ttpar.comm import SerialComm
+from ttpar.cost import chain_estimate
 from ttpar.core import (
     _CHUNK_DRAWS,
     _KEY_CHUNK,
@@ -164,6 +165,32 @@ def test_random_tt_validates_chain():
         random_tt((3, 0), (1, 2, 1), seed=0)
     with pytest.raises(ShapeError, match="ranks must be positive"):
         random_tt((3, 3), (1, 0, 1), seed=0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("dims, ranks", [
+    ((4.7, 4), (1, 2, 1)),
+    ((4, 4), (1, 2.9, 1)),
+    ((_NAN, 4), (1, 2, 1)),
+    ((_INF, 4), (1, 2, 1)),
+    ((4, 4), (1, _NAN, 1)),
+    ((4, 4), (1, _INF, 1)),
+    (("4", 4), (1, 2, 1)),
+])
+def test_non_integral_chain_entries_are_shape_errors(dims, ranks):
+    """A dim or rank that is not integral is refused, not truncated, by
+    `random_tt`, `DistTTTensor` and `chain_estimate` alike; an integral
+    float still passes."""
+    slabs = [np.ones((1, 4, 2)), np.ones((2, 4, 1))]
+    for make in (lambda: random_tt(dims, ranks, seed=0),
+                 lambda: DistTTTensor(SerialComm(), dims, ranks, slabs),
+                 lambda: DistTTTensor.random(SerialComm(), dims, ranks, 0),
+                 lambda: chain_estimate("dot", dims, ranks)):
+        with pytest.raises(ShapeError, match="^dims and ranks must be integers, got "):
+            make()
+    assert random_tt((4.0, 4), (1, 2.0, 1), seed=0).ranks == (1, 2, 1)
 
 
 def _slice_from_stream(seed, n, i, rl, rr):

@@ -108,6 +108,13 @@ def test_aliases_and_validation():
         estimate("norm", 0, 4, 2)
 
 
+@pytest.mark.parametrize("args", [(float("nan"), 4, 2), (3, float("nan"), 2), (3, 4, float("nan"))])
+def test_estimate_refuses_a_nan_size(args):
+    """A NaN N, I or R is refused, not priced as NaN flops."""
+    with pytest.raises(ContractError, match="N, I, and R must all be positive, got "):
+        estimate("dot", *args)
+
+
 def test_seconds_uses_params():
     params = CostModelParams(gamma=2.0, beta=3.0, alpha=5.0)
     r = estimate("inner_product", 3, 4, 2, 4)

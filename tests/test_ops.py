@@ -1,6 +1,7 @@
 """TT arithmetic against dense oracles, plus the Kronecker operator format."""
 
 import re
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -452,10 +453,11 @@ def test_apply_operator_with_rounding():
 
 
 def test_apply_operator_sums_its_terms_in_one_add():
-    """With four terms, apply_operator is byte for byte `add` nested over the
-    one-term results, sequentially and at P = 1, 2 and 3; every rank sends
-    the words of its terms' exchanges and one message per term, mode and
-    peer, and adding charges no flops."""
+    """With four terms, apply_operator, which writes each term's mode products
+    straight into their blocks of the sum, is byte for byte `add` nested over
+    the one-term results, sequentially and at P = 1, 2 and 3; every rank
+    sends the words of its terms' exchanges and one message per term, mode
+    and peer, and summing charges no flops."""
     dims = (6, 5, 7)
     x, _ = pair(34, dims=dims, rx=(1, 3, 4, 1))
     op = kron_sum_operator(dims)
@@ -482,6 +484,24 @@ def test_apply_operator_sums_its_terms_in_one_add():
             assert got == nested == want
             assert whole == per_term
             assert whole[2] == len(op.terms) * len(dims) * (p - 1)
+
+
+def test_apply_operator_holds_no_term_tensors():
+    """Beyond its output's own bytes, apply_operator's traced allocation peak
+    stays under four input cores (5 modes of 50, rank 8, 5 terms): each mode
+    product goes straight into its block of the sum, so no term tensor, of
+    four interior cores each, is ever built."""
+    dims = (50,) * 5
+    x = random_tt(dims, (1, 8, 8, 8, 8, 1), seed=36)
+    op = kron_sum_operator(dims)
+    apply_operator(op, x)  # first-call allocations (imports, caches) stay out
+    tracemalloc.start()
+    try:
+        z = apply_operator(op, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(c.array.nbytes for c in z.cores) < 4 * x.cores[1].array.nbytes
 
 
 def test_apply_operator_max_rank_needs_round_eps():

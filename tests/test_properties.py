@@ -2,13 +2,14 @@
 magnitude; the routed leaf's Q built for a triangle; the layout rule of the
 raw BLAS-3 calls, on any layout, dtype and writability; the vectorized Philox
 key derivation against numpy's SeedSequence; the three norms, the n-ary sum,
-the inner product, the Hadamard product and the TSQR sweeps (`round_tt`,
-`orthonormalize`) across P."""
+the inner product, the Hadamard product, the Kronecker-sum operator apply
+and the TSQR sweeps (`round_tt`, `orthonormalize`) across P."""
 
 from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import blas
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -16,11 +17,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from ttpar import (  # noqa: E402
     DistTTTensor,
+    KroneckerOperator,
     RoundingOptions,
     TTCore,
     TTTensor,
     _kernels,
     add,
+    apply_operator,
     distribute,
     gather,
     hadamard,
@@ -38,7 +41,7 @@ from ttpar.errors import ContractError, NumericError, ShapeError  # noqa: E402
 from ttpar.core import _slice_keys  # noqa: E402
 from ttpar.cost import chain_estimate  # noqa: E402
 from ttpar.tsqr import local_qr  # noqa: E402
-from ttpar.verify import dense  # noqa: E402
+from ttpar.verify import dense, dense_operator  # noqa: E402
 
 
 @st.composite
@@ -571,6 +574,85 @@ def test_hadamard_is_a_slab_local_kronecker_product_across_p(case):
         gathered = [g for _, _, g in res]
     for g in gathered:
         assert np.linalg.norm(dense(g) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@st.composite
+def operator_cases(draw):
+    """(x, op, round_eps, P): a random TT of 1 to 4 modes of size 1 to 6
+    with bond ranks 1 to 4; an operator of 1 to 4 terms of random sparse
+    square factors, whose first factor has an empty row; round_eps None or
+    1e-8; P from 1 to 4, so modes smaller than P leave idle ranks."""
+    n_modes = draw(st.integers(1, 4))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(n_modes))
+    x = random_tt(dims, _chain(draw, n_modes, 4), draw(st.integers(0, 2**16)))
+    return (x, _sparse_operator(dims, draw(st.integers(1, 4)), draw(st.integers(0, 2**16))),
+            draw(st.sampled_from([None, 1e-8])), draw(st.integers(1, 4)))
+
+
+def _sparse_operator(dims, n_terms, seed):
+    rng = np.random.default_rng(seed)
+    terms = [[sp.random(d, d, density=0.5, format="lil", random_state=rng,
+                        data_rvs=rng.standard_normal) for d in dims] for _ in range(n_terms)]
+    terms[0][0][int(rng.integers(dims[0])), :] = 0.0
+    return KroneckerOperator(dims, terms)
+
+
+def _op_case(dims, ranks, n_terms, round_eps, nranks):
+    return random_tt(dims, ranks, 7), _sparse_operator(dims, n_terms, 8), round_eps, nranks
+
+
+def _tt_bytes(t):
+    return [c.array.tobytes() for c in t.cores]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(operator_cases())
+@example(_op_case((5,), (1, 1), 3, None, 4))
+@example(_op_case((2, 1, 3), (1, 3, 2, 1), 4, 1e-8, 3))
+@example(_op_case((6, 5, 1, 2), (1, 2, 4, 2, 1), 2, None, 4))
+def test_apply_operator_is_the_sum_of_its_terms_across_p(case):
+    """apply_operator at P = 1 to 4 gives, byte for byte, the unrounded sum
+    it gives sequentially, which is the dense operator's product to 1e-12
+    relative; at every P (and sequentially) its result, rounded or not, is
+    byte for byte `add` nested over the one-term results, then rounded; each
+    rank sends exactly T N (P - 1) messages and the flops and words of its
+    terms' exchanges; and the ranks' flops add up to 2 nnz r_left r_right
+    per factor."""
+    x, op, round_eps, nranks = case
+    ones = [KroneckerOperator(x.dims, [t]) for t in op.terms]
+
+    def nested(t):
+        return reduce(add, [apply_operator(o, t) for o in ones])
+
+    def rounded(z):
+        return z if round_eps is None else round_tt(z, RoundingOptions(round_eps))
+
+    seq = apply_operator(op, x)
+    want = dense_operator(op) @ dense(x).ravel(order="F")
+    assert np.linalg.norm(dense(seq).ravel(order="F") - want) <= 1e-12 * np.linalg.norm(want)
+    assert _tt_bytes(apply_operator(op, x, round_eps=round_eps)) == [
+        a.tobytes() for a in rounded(nested(serial_tt(x))).local]
+
+    def body(comm):
+        dx = distribute(x, comm)
+        out = []
+        for make in (lambda: apply_operator(op, dx), lambda: nested(dx)):
+            comm.trace.reset()
+            z = make()
+            out.append(([comm.trace.total(k) for k in ("flops", "words", "messages")], z))
+        (whole, z), (per_term, zs) = out
+        got = apply_operator(op, dx, round_eps=round_eps)
+        return whole, per_term, _tt_bytes(gather(z)), _tt_bytes(gather(got)), _tt_bytes(
+            gather(rounded(zs)))
+
+    res = run_spmd(nranks, body).results
+    for whole, per_term, unrounded, got, want_got in res:
+        assert unrounded == _tt_bytes(seq)
+        assert got == want_got
+        assert whole == per_term
+        assert whole[2] == len(op.terms) * x.ndim * (nranks - 1)
+    assert sum(r[0][0] for r in res) == sum(2.0 * f.nnz * rl * rr for t in op.terms
+                                            for f, rl, rr in zip(t, x.ranks, x.ranks[1:]))
 
 
 @st.composite
