@@ -44,7 +44,6 @@ from .parallel import (
     gather,
     orthonormalize,
     round_tt,
-    serial_tt,
     truncated_svd,
 )
 from .tsqr import TSQRFactor, tsqr_apply_q, tsqr_factor
@@ -81,7 +80,6 @@ __all__ = [
     "save_operator",
     "save_tt",
     "scale",
-    "serial_tt",
     "truncated_svd",
     "tsqr_apply_q",
     "tsqr_factor",

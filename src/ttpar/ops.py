@@ -1,7 +1,8 @@
 """TT arithmetic on row-distributed tensors.
 
 Every op runs one body on a `DistTTTensor`; a sequential `TTTensor` is its
-one-rank case, entering and leaving through `_enter`.
+one-rank case, entering and leaving through `ttpar.parallel._enter`, the
+rule `orthonormalize` and `round_tt` follow too.
 
 All of these operate slab-locally where the math allows it: scaling touches
 one core, addition of one or more operands writes each block-diagonal core
@@ -26,19 +27,18 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpstrf
 
 from ._kernels import dgemm, dsyrk, dtrmm
-from .comm import SerialComm, _check_count
-from .core import TTCore, TTTensor
+from .comm import _check_count
 from .errors import CapacityError, ContractError, NumericError, ShapeError
 from .parallel import (
     _BACKWARD,
     DistTTTensor,
     RoundingOptions,
     _end_core_norm,
+    _enter,
     _next_carry,
     _qr_sweep,
     _sqrt_scaled,
     block_bounds,
-    distribute,
     orthonormalize,  # noqa: F401  (re-exported; perfbench/spans.py wraps ops.orthonormalize)
     round_tt,
 )
@@ -50,18 +50,6 @@ HADAMARD_RANK_GUARD = 4096
 
 _PSTRF_RTOL = 1e-14  # rank-reveal pivot tolerance, relative to the max diagonal
 _GRAM_RESID_RTOL = 1e-6  # reconstruction residual that triggers the fallback
-
-
-def _enter(x, comm=None):
-    """``(dt, leave)``: ``x`` as a `DistTTTensor`, and the function that
-    returns a result in x's flavor.  A `TTTensor` is `distribute`d on
-    ``comm``, or on a new `SerialComm`, whose one rank holds its core arrays."""
-    if isinstance(x, DistTTTensor):
-        return x, lambda dt: dt
-    if isinstance(x, TTTensor):
-        dt = distribute(x, comm or SerialComm())
-        return dt, lambda out: TTTensor([TTCore(s) for s in out.local])
-    raise ContractError(f"expected TTTensor or DistTTTensor, got {type(x).__name__}")
 
 
 def _check_operands(*xs):
@@ -278,9 +266,8 @@ def _gram_factor(w: np.ndarray) -> tuple:
     not positive -- a rank-deficient carry, as in the norm of an unrounded
     sum, or an indefinite one -- runs `_pivoted_cholesky`, check and all;
     ``f`` is then its factor with the pivot folded into the rows (P L,
-    r x rank), so the step needs no permuted copy of the slab.  (OpenBLAS's
-    dpotrf passes a NaN pivot through; only a non-finite input makes one,
-    and its NaN norm raises in `_sqrt_scaled` as on the pivoted route.)
+    r x rank), so the step needs no permuted copy of the slab.  No carry
+    reaching it is non-finite: `_next_carry` raises on one.
     """
     n = w.shape[0]
     c, info = dpotrf(w, lower=1, clean=0)

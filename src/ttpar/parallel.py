@@ -17,6 +17,11 @@ its orthonormal factors are only ever applied to the narrow truncated
 blocks -- N I R (3R^2 + 6RL + 4L^2) / P flops instead of the explicit
 variants' 5R^2 + 4RL + 4L^2 coefficient sum (a wash when nothing
 truncates, a 1/8 saving at L = R/2).
+
+Every op of the library, these two and those of `ttpar.ops`, takes either
+tensor flavor by one rule, `_enter`: a sequential `TTTensor` runs as the
+one-rank case over its own core arrays and its result leaves as a
+`TTTensor`.
 """
 
 from __future__ import annotations
@@ -147,6 +152,18 @@ def gather(dt: DistTTTensor) -> TTTensor:
         summed = dt.comm.allreduce_sum(pad)
         cores.append(TTCore(np.asfortranarray(summed)))
     return TTTensor(cores)
+
+
+def _enter(x, comm=None):
+    """``(dt, leave)``: ``x`` as a `DistTTTensor`, and the function that
+    returns a result in x's flavor.  A `TTTensor` is `distribute`d on
+    ``comm``, or on a new `SerialComm`, whose one rank holds its core arrays."""
+    if isinstance(x, DistTTTensor):
+        return x, lambda dt: dt
+    if isinstance(x, TTTensor):
+        dt = distribute(x, comm or SerialComm())
+        return dt, lambda out: TTTensor([TTCore(s) for s in out.local])
+    raise ContractError(f"expected TTTensor or DistTTTensor, got {type(x).__name__}")
 
 
 class _Orientation:
@@ -321,7 +338,9 @@ def _next_carry(comm: Communicator, step, slabs) -> tuple:
     same mode.  In-window carries come back untouched (k = 0).  Powers of
     four keep a Cholesky factor of the carry an exact power-of-two multiple
     of the unscaled one, so the rescaled recurrences round exactly as the
-    plain ones do wherever those stay representable.
+    plain ones do wherever those stay representable.  A carry that is
+    still NaN or infinite after the rescue comes only from a non-finite
+    input and raises `NumericError` on every rank.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # redone below if so
         w = comm.allreduce_sum(step(*slabs))
@@ -336,8 +355,8 @@ def _next_carry(comm: Communicator, step, slabs) -> tuple:
         k = -2 * shift
     if top == 0.0:
         return None, 0
-    if not top < np.inf:  # non-finite input
-        return w, k
+    if not top < np.inf:  # only a non-finite input leaves one after the rescue
+        raise NumericError("non-finite Gram carry: the tensor holds a NaN or an infinity")
     j = (frexp(top)[1] + 1) // 2  # top / 4^j lies in [1/4, 1)
     return np.ldexp(w, -2 * j), k + 2 * j
 
@@ -361,28 +380,32 @@ def _end_core_norm(comm: Communicator, end: np.ndarray) -> float:
     return _sqrt_scaled(0.0 if w is None else float(w[0, 0]), k)
 
 
-def _require_dist(dt, name: str) -> None:
-    if not isinstance(dt, DistTTTensor):
-        raise ContractError(
-            f"{name} takes a DistTTTensor, got {type(dt).__name__}; "
-            "wrap a sequential tensor with serial_tt"
-        )
+def _check_finite(slab: np.ndarray) -> None:
+    """Raise `NumericError` on this rank if its ``slab`` holds a NaN or an
+    infinity: a local check, so no message is sent."""
+    if not np.isfinite(slab).all():
+        raise NumericError("non-finite entries in the result")
 
 
-def orthonormalize(dt: DistTTTensor, direction: str = "right") -> DistTTTensor:
+def orthonormalize(x, direction: str = "right"):
     """QR-sweep the chain so all but one end core has orthonormal unfoldings.
 
     ``direction="right"`` makes the horizontal unfoldings of cores 2..N
     row-orthonormal, accumulating the triangular factors leftward into core 1
     (which then carries the tensor's norm); ``"left"`` mirrors this.  Ranks
     are unchanged; the represented tensor is unchanged up to roundoff.
+    Either flavor is accepted (`_enter`): a `TTTensor` comes back as a
+    `TTTensor`, bitwise the one-rank result, without ``meta``.  The sweep
+    never factors the end core, so a NaN or an infinity there (or folded
+    into it) raises `NumericError` instead of being returned.
     """
-    _require_dist(dt, "orthonormalize")
+    dt, leave = _enter(x)
     if direction not in ("left", "right"):
         raise ContractError(f"direction must be 'left' or 'right', got {direction!r}")
     sweep = _BACKWARD if direction == "right" else _FORWARD
     slabs = _qr_sweep(dt, sweep)[0] if dt.ndim > 1 else [dt.local[0].copy(order="F")]
-    return DistTTTensor(dt.comm, dt.dims, dt.ranks, slabs, {"orthonormal": direction})
+    _check_finite(slabs[0 if direction == "right" else -1])
+    return leave(DistTTTensor(dt.comm, dt.dims, dt.ranks, slabs, {"orthonormal": direction}))
 
 
 @dataclass
@@ -466,15 +489,20 @@ def _canonical_zero(dt: DistTTTensor, meta: dict) -> DistTTTensor:
     return DistTTTensor(dt.comm, dt.dims, ranks, slabs, meta)
 
 
-def round_tt(dt: DistTTTensor, opts: RoundingOptions) -> DistTTTensor:
+def round_tt(x, opts: RoundingOptions):
     """Compress bond ranks to relative accuracy ``opts.eps0``.
 
     Per-bond truncation threshold is ``eps0 * ||x|| / sqrt(N - 1)``, giving
     ``||round(x) - x|| <= eps0 ||x||`` overall.  Output cores are orthonormal
     on the side the truncation sweep started from.  Tensors that are exactly
-    zero collapse to the canonical rank-1 zero.
+    zero collapse to the canonical rank-1 zero.  A one-mode chain comes back
+    as a copy.  A NaN or an infinity anywhere raises `NumericError`.
+    Either flavor is accepted (`_enter`): a `TTTensor` comes back as a
+    `TTTensor`, bitwise the one-rank result, but without ``meta`` (output
+    ranks, norm, ``error_bound_violated``); pass
+    ``distribute(t, SerialComm())`` to read it.
     """
-    _require_dist(dt, "round_tt")
+    dt, leave = _enter(x)
     comm, tr = dt.comm, dt.comm.trace
     N = dt.ndim
     meta = {
@@ -483,9 +511,10 @@ def round_tt(dt: DistTTTensor, opts: RoundingOptions) -> DistTTTensor:
         "error_bound_violated": False,
     }
     if N == 1:
+        _check_finite(dt.local[0])
         out = dt.copy()
         out.meta.update(meta)
-        return out
+        return leave(out)
 
     orth, trunc = _sweeps(opts.variant)
     slabs, facs = _qr_sweep(dt, orth, implicit=opts.variant.endswith("I"))
@@ -497,18 +526,10 @@ def round_tt(dt: DistTTTensor, opts: RoundingOptions) -> DistTTTensor:
         meta["norm"] = norm_x
         if norm_x == 0.0:
             meta["zero"] = True
-            return _canonical_zero(dt, meta)
+            return leave(_canonical_zero(dt, meta))
         eps = opts.eps0 * norm_x / sqrt(N - 1)
         meta["eps_bond"] = eps
 
     ranks = _truncate_sweep(dt, slabs, facs, trunc, eps, opts.max_rank, meta)
     meta["output_ranks"] = ranks
-    return DistTTTensor(comm, dt.dims, ranks, slabs, meta)
-
-
-def serial_tt(t: TTTensor) -> DistTTTensor:
-    """Wrap a sequential tensor as a one-rank distributed tensor.
-
-    No core is copied: the result's slabs share memory with ``t``'s cores.
-    """
-    return distribute(t, SerialComm())
+    return leave(DistTTTensor(comm, dt.dims, ranks, slabs, meta))

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ops, parallel
-from .comm import run_spmd
+from .comm import SerialComm, run_spmd
 from .core import TTTensor, entry, full, load_tt, random_tt, save_tt, verify_quadprod
 from .cost import chain_estimate, estimate
 from .parallel import RoundingOptions, distribute, gather, orthonormalize, round_tt
@@ -212,7 +212,7 @@ def _check_cost_pins(quick: bool):
     ok &= estimate("rounding", 4, 10, 8, 1, L=4).flops == 7 * 4 * 10 * 8**3
     dims, ranks = (8, 8), (1, 4, 1)
     t = random_tt(dims, ranks, seed=600)
-    dt = parallel.serial_tt(t)
+    dt = distribute(t, SerialComm())
     dt.comm.trace.reset()
     ops.inner_product(dt, dt)
     ok &= dt.comm.trace.total("flops") == chain_estimate("dot", dims, ranks).flops

@@ -15,6 +15,7 @@ from ttpar import (
     CostModelParams,
     KroneckerOperator,
     RoundingOptions,
+    SerialComm,
     add,
     apply_operator,
     block_bounds,
@@ -28,7 +29,6 @@ from ttpar import (
     round_tt,
     run_spmd,
     scale,
-    serial_tt,
     tsqr_apply_q,
     tsqr_factor,
     verify_quadprod,
@@ -148,7 +148,7 @@ def test_criterion_3_rounding_bound_and_rank_recovery(capsys):
         ny = np.linalg.norm(dy)
         for eps0 in (1e-2, 1e-6, 1e-10):
             for variant in ROUNDING_VARIANTS:
-                out = gather(round_tt(serial_tt(y), RoundingOptions(eps0, variant)))
+                out = round_tt(y, RoundingOptions(eps0, variant))
                 worst_ratio = max(worst_ratio,
                                   np.linalg.norm(dense(out) - dy) / (eps0 * ny))
     ok_bound = worst_ratio <= 1.0
@@ -161,7 +161,7 @@ def test_criterion_3_rounding_bound_and_rank_recovery(capsys):
         x = random_tt(dims, ranks, seed=1000 + seed)
         y = add(scale(x, 2.0), scale(x, -1.0))
         variant = ROUNDING_VARIANTS[seed % len(ROUNDING_VARIANTS)]
-        out = round_tt(serial_tt(y), RoundingOptions(1e-10, variant))
+        out = round_tt(y, RoundingOptions(1e-10, variant))
         if not all(a <= b for a, b in zip(out.ranks, x.ranks)):
             failures += 1
     ok = ok_bound and failures == 0
@@ -244,7 +244,7 @@ def test_criterion_6_cost_model(capsys):
     chain = (1,) + (32,) * 7 + (1,)
     ratios = {}
 
-    dt = serial_tt(random_tt(dims, chain, seed=6))
+    dt = distribute(random_tt(dims, chain, seed=6), SerialComm())
     dt.comm.trace.reset()
     inner_product(dt, dt)
     ratios["inner_product"] = (dt.comm.trace.total("flops"),
@@ -263,7 +263,7 @@ def test_criterion_6_cost_model(capsys):
     )
 
     x16, y32 = redundant_pair(dims, 16, seed=7)
-    dy = serial_tt(y32)
+    dy = distribute(y32, SerialComm())
     dy.comm.trace.reset()
     out = round_tt(dy, RoundingOptions(1e-8, "LRLI"))
     ratios["rounding"] = (

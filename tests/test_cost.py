@@ -6,6 +6,7 @@ import pytest
 from ttpar import (
     CostModelParams,
     RoundingOptions,
+    SerialComm,
     distribute,
     inner_product,
     norm,
@@ -13,7 +14,6 @@ from ttpar import (
     random_tt,
     round_tt,
     run_spmd,
-    serial_tt,
     tsqr,
 )
 from ttpar.cost import OP_KINDS, chain_estimate, estimate
@@ -132,7 +132,7 @@ def flops_by_phase(trace):
 def test_chain_matches_counters_exactly_for_gemm_ops():
     dims, ranks = (9, 7, 8, 6), (1, 4, 5, 3, 1)
     x = random_tt(dims, ranks, seed=1)
-    dt = serial_tt(x)
+    dt = distribute(x, SerialComm())
 
     dt.comm.trace.reset()
     inner_product(dt, dt)
@@ -155,7 +155,7 @@ def test_hadamard_chain_takes_the_second_operands_ranks():
     is predicted exactly from both chains; a bad second chain is refused."""
     dims = (7, 5, 6)
     x, y = random_tt(dims, (1, 50, 50, 1), seed=3), random_tt(dims, (1, 1, 1, 1), seed=4)
-    dt = serial_tt(x)
+    dt = distribute(x, SerialComm())
     dt.comm.trace.reset()
     hadamard(dt, distribute(y, dt.comm))
     got = dt.comm.trace.total("flops")
@@ -192,7 +192,7 @@ def test_chain_matches_orthonormalize_counters():
     dims = (32,) * 6
     ranks = (1, 8, 8, 8, 8, 8, 1)
     x = random_tt(dims, ranks, seed=3)
-    dt = serial_tt(x)
+    dt = distribute(x, SerialComm())
     dt.comm.trace.reset()
     orthonormalize(dt, "right")
     got = flops_by_phase(dt.comm.trace)
@@ -228,7 +228,7 @@ def test_chain_matches_rounding_counters(variant):
     from tests_support import redundant_pair
 
     x, y = redundant_pair((48,) * 6, 8, seed=4)
-    dt = serial_tt(y)
+    dt = distribute(y, SerialComm())
     dt.comm.trace.reset()
     out = round_tt(dt, RoundingOptions(1e-10, variant))
     got = flops_by_phase(dt.comm.trace)
@@ -250,7 +250,7 @@ def test_counters_within_ten_percent_of_leading_terms():
     N, I, R = 8, 64, 16
     dims = (I,) * N
     x, y = redundant_pair(dims, R // 2, seed=5)
-    dt = serial_tt(y)
+    dt = distribute(y, SerialComm())
     dt.comm.trace.reset()
     out = round_tt(dt, RoundingOptions(1e-9))
     got = dt.comm.trace.total("flops")

@@ -29,12 +29,11 @@ from ttpar import (
     run_spmd,
     save_operator,
     scale,
-    serial_tt,
 )
 from ttpar.errors import CapacityError, ContractError, NumericError, ShapeError
 from ttpar import ops
 from ttpar.ops import _gram_factor, _IndefiniteGram, _pivoted_cholesky
-from ttpar.parallel import _end_core_norm
+from ttpar.parallel import ROUNDING_VARIANTS, _end_core_norm
 from ttpar.verify import dense, dense_operator
 
 
@@ -102,19 +101,41 @@ def test_operand_errors_keep_their_type_and_message():
         (lambda: scale([x], 2.0), "expected TTTensor or DistTTTensor, got list"),
         (lambda: norm(None), "expected TTTensor or DistTTTensor, got NoneType"),
         (lambda: apply_operator(op, "x"), "expected TTTensor or DistTTTensor, got str"),
-        (lambda: inner_product(x, serial_tt(x)), "cannot mix sequential and distributed tensors"),
-        (lambda: hadamard(serial_tt(x), serial_tt(x)), "operands live on different communicators"),
+        (lambda: orthonormalize(3), "expected TTTensor or DistTTTensor, got int"),
+        (lambda: round_tt([x], RoundingOptions(1e-8)), "expected TTTensor or DistTTTensor, got list"),
+        (lambda: inner_product(x, distribute(x, SerialComm())),
+         "cannot mix sequential and distributed tensors"),
+        (lambda: hadamard(distribute(x, SerialComm()), distribute(x, SerialComm())),
+         "operands live on different communicators"),
     ]
     for call, message in cases:
         with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             call()
 
 
-def test_round_and_orthonormalize_name_serial_tt_for_a_sequential_tensor():
-    x = random_tt((4, 5), (1, 2, 1), seed=7)
-    for call in (lambda: orthonormalize(x), lambda: round_tt(x, RoundingOptions(1e-8))):
-        with pytest.raises(ContractError, match="serial_tt"):
-            call()
+@pytest.mark.parametrize("dims, ranks", [((4, 5, 3), (1, 2, 3, 1)), ((7,), (1, 1))],
+                         ids=["three-modes", "one-mode"])
+def test_round_and_orthonormalize_take_either_flavor(dims, ranks):
+    """A sequential tensor enters and leaves `orthonormalize` and `round_tt`
+    as every op's does: the result is a `TTTensor` with no ``meta``, its cores
+    are bitwise the one-rank `DistTTTensor` result's and share no memory
+    with the input, whose cores stay as they were.  The zero tensor's
+    canonical rank-1 result and a capped round leave the same way."""
+    x = random_tt(dims, ranks, seed=7)
+    calls = [lambda t, d=d: orthonormalize(t, d) for d in ("left", "right")]
+    calls += [lambda t, v=v, c=c: round_tt(t, RoundingOptions(1e-8, v, max_rank=c))
+              for v in ROUNDING_VARIANTS for c in (None, 1)]
+    for t in (x, scale(x, 0.0)):
+        before = [c.array.tobytes() for c in t.cores]
+        for call in calls:
+            out = call(t)
+            want = call(distribute(t, SerialComm()))
+            assert type(out) is TTTensor and not hasattr(out, "meta")
+            assert out.ranks == want.ranks
+            assert [c.array.tobytes() for c in out.cores] == [s.tobytes() for s in want.local]
+            assert not any(np.shares_memory(a.array, b.array)
+                           for a in out.cores for b in t.cores)
+        assert [c.array.tobytes() for c in t.cores] == before
 
 
 def test_dimension_mismatch_rejected():
@@ -648,6 +669,25 @@ def test_gram_norms_at_extreme_scales(nranks, c):
         assert dot == pytest.approx(want_dot, rel=1e-10)
 
 
+@pytest.mark.parametrize("nranks", [None, 1, 2])
+@pytest.mark.parametrize("core, at, value", [(0, (0, 3, 1), np.nan), (1, (1, 4, 2), np.nan),
+                                             (0, (0, 0, 0), np.inf)])
+def test_sym_norm_of_a_non_finite_tensor_raises(nranks, core, at, value):
+    """A NaN that the pivoted Cholesky once factored to rank 0 (the norm read
+    0.0), or an inf that raised only after a divide warning: the carry is
+    non-finite after its rescue, so `NumericError`, and no warning."""
+    x = random_tt((4, 5, 3), (1, 2, 3, 1), seed=3)
+    x.cores[core].array[at] = value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match="non-finite Gram carry"):
+            if nranks is None:
+                norm(x, "innerprod_sym")
+            else:
+                run_spmd(nranks, lambda comm: norm(distribute(x, comm), "innerprod_sym"))
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("c", [1.0, 1e-170, 1e170, 0.0])
 @pytest.mark.parametrize("nranks", [1, 2, 3])
 def test_ortho_norm_needs_no_q(nranks, c):
@@ -685,7 +725,7 @@ def test_sequential_ortho_norm_leaves_its_cores_alone(c):
     before = [core.array.tobytes() for core in x.cores]
     val = norm(x, "ortho")
     assert [core.array.tobytes() for core in x.cores] == before
-    assert val == norm(serial_tt(x), "ortho")
+    assert val == norm(distribute(x, SerialComm()), "ortho")
     assert val == pytest.approx(c * np.linalg.norm(dense(x0)), rel=1e-12)
 
 

@@ -19,7 +19,6 @@ from ttpar import (
     random_tt,
     round_tt,
     run_spmd,
-    serial_tt,
     truncated_svd,
 )
 from ttpar.errors import ContractError, NumericError, ShapeError
@@ -77,8 +76,8 @@ def test_distribute_leaves_trailing_ranks_idle():
             assert np.array_equal(a.array, b.array)
 
     run_spmd(3, body)
-    for one in (distribute(t, SerialComm()), serial_tt(t)):
-        assert all(np.shares_memory(s, c.array) for s, c in zip(one.local, t.cores))
+    one = distribute(t, SerialComm())
+    assert all(np.shares_memory(s, c.array) for s, c in zip(one.local, t.cores))
 
 
 def test_random_dist_matches_sequential_bitwise():
@@ -149,7 +148,7 @@ def test_orthonormalize_preserves_value(direction, nranks):
 
 def test_orthonormalize_is_stable_when_repeated():
     t = random_tt((4, 5, 4), (1, 3, 3, 1), seed=11)
-    dt = serial_tt(t)
+    dt = distribute(t, SerialComm())
     once = orthonormalize(dt, "right")
     twice = orthonormalize(once, "right")
     # R factors of an already-orthonormal chain are identities, so a second
@@ -172,12 +171,12 @@ def test_orthonormalize_handles_empty_tail_slab():
 
 def test_orthonormalize_single_mode_is_copy():
     t = random_tt((6,), (1, 1), seed=2)
-    out = orthonormalize(serial_tt(t), "right")
+    out = orthonormalize(distribute(t, SerialComm()), "right")
     assert np.array_equal(out.local[0], t.cores[0].array)
 
 
 def test_orthonormalize_bad_direction():
-    t = serial_tt(random_tt((3, 3), (1, 2, 1), seed=0))
+    t = random_tt((3, 3), (1, 2, 1), seed=0)
     with pytest.raises(ContractError, match="direction"):
         orthonormalize(t, "up")
 
@@ -188,7 +187,7 @@ def test_orthonormalize_serial_flops_match_model():
     I, R = 24, 6
     dims, ranks = (I,) * 5, (1, R, R, R, R, 1)
     t = random_tt(dims, ranks, seed=5)
-    dt = serial_tt(t)
+    dt = distribute(t, SerialComm())
     dt.comm.trace.reset()
     orthonormalize(dt, "right")
     got = dt.comm.trace.total("flops")
@@ -272,7 +271,7 @@ def test_round_error_bound(variant):
     want = dense(t)
     scale = np.linalg.norm(want)
     for eps0 in (1e-2, 1e-6, 1e-10):
-        out = round_tt(serial_tt(t), RoundingOptions(eps0, variant))
+        out = round_tt(distribute(t, SerialComm()), RoundingOptions(eps0, variant))
         got = dense(gather(out))
         assert np.linalg.norm(got - want) <= eps0 * scale * (1 + 1e-12)
         assert out.meta["eps_bond"] == pytest.approx(
@@ -286,9 +285,9 @@ def test_round_recovers_ranks_of_redundant_sum(variant):
     for seed in range(8):
         x, y = redundant_pair((4, 5, 3, 4), 3, seed)
         assert max(y.ranks) == 6
-        out = round_tt(serial_tt(y), RoundingOptions(1e-12, variant))
+        out = round_tt(y, RoundingOptions(1e-12, variant))
         assert all(r <= rx for r, rx in zip(out.ranks, x.ranks))
-        assert rel_err(dense(gather(out)), dense(x)) < 1e-10
+        assert rel_err(dense(out), dense(x)) < 1e-10
 
 
 @pytest.mark.parametrize("variant", ["LRLI", "RLR"])
@@ -330,19 +329,19 @@ def test_round_eps_zero_hits_unfolding_rank_bounds():
     # inflated bonds: eps0=0 may only drop exactly dead directions, which
     # brings each bond down to min(prod left dims, prod right dims, rank)
     t = random_tt((3, 4, 3), (1, 5, 7, 1), seed=17)
-    out = round_tt(serial_tt(t), RoundingOptions(0.0, "RLR"))
+    out = round_tt(t, RoundingOptions(0.0, "RLR"))
     dims = t.dims
     for n in range(1, len(dims)):
         left = int(np.prod(dims[:n]))
         right = int(np.prod(dims[n:]))
         assert out.ranks[n] <= min(left, right, t.ranks[n])
-    assert rel_err(dense(gather(out)), dense(t)) < 1e-12
+    assert rel_err(dense(out), dense(t)) < 1e-12
 
 
 @pytest.mark.parametrize("variant", ["RLR", "RLRI", "LRL", "LRLI"])
 def test_round_output_cores_orthonormal_on_swept_side(variant):
     t = random_tt((5, 4, 6, 4), (1, 4, 4, 4, 1), seed=23)
-    out = gather(round_tt(serial_tt(t), RoundingOptions(1e-8, variant)))
+    out = round_tt(t, RoundingOptions(1e-8, variant))
     N = len(out.cores)
     if variant.startswith("R"):  # truncation swept left-to-right
         for n in range(N - 1):
@@ -359,13 +358,13 @@ def test_round_variants_agree_pairwise():
     eps0 = 1e-6
     scale = np.linalg.norm(dense(t))
     outs = {
-        v: round_tt(serial_tt(t), RoundingOptions(eps0, v))
+        v: round_tt(t, RoundingOptions(eps0, v))
         for v in ("RLR", "RLRI", "LRL", "LRLI")
     }
     ranks = {v: o.ranks for v, o in outs.items()}
     assert ranks["RLR"] == ranks["RLRI"]
     assert ranks["LRL"] == ranks["LRLI"]
-    got = {v: dense(gather(o)) for v, o in outs.items()}
+    got = {v: dense(o) for v, o in outs.items()}
     for a in got:
         for b in got:
             assert np.linalg.norm(got[a] - got[b]) <= 2 * eps0 * scale
@@ -378,7 +377,7 @@ def test_round_ranks_monotone_in_eps0():
     t = random_tt((6, 5, 6), (1, 6, 6, 1), seed=37)
     prev = None
     for eps0 in (1e-12, 1e-8, 1e-4, 1e-1):
-        out = round_tt(serial_tt(t), RoundingOptions(eps0, "LRLI"))
+        out = round_tt(t, RoundingOptions(eps0, "LRLI"))
         if prev is not None:
             assert all(a <= b for a, b in zip(out.ranks, prev))
         prev = out.ranks
@@ -387,7 +386,7 @@ def test_round_ranks_monotone_in_eps0():
 @pytest.mark.parametrize("variant", ["RLRI", "LRL"])
 def test_round_invariant_under_nranks(variant):
     t = random_tt((6, 5, 7, 6), (1, 4, 6, 3, 1), seed=41)
-    ref = dense(gather(round_tt(serial_tt(t), RoundingOptions(1e-6, variant))))
+    ref = dense(round_tt(t, RoundingOptions(1e-6, variant)))
 
     def body(comm):
         out = round_tt(distribute(t, comm), RoundingOptions(1e-6, variant))
@@ -404,7 +403,7 @@ def test_round_zero_tensor_collapses_to_rank_one():
     t = random_tt((4, 5, 4), (1, 3, 3, 1), seed=2)
     for c in t.cores:
         c.array[:] = 0.0
-    out = round_tt(serial_tt(t), RoundingOptions(1e-6, "RLR"))
+    out = round_tt(distribute(t, SerialComm()), RoundingOptions(1e-6, "RLR"))
     assert out.ranks == (1, 1, 1, 1)
     assert out.meta.get("zero") is True
     assert not dense(gather(out)).any()
@@ -412,14 +411,14 @@ def test_round_zero_tensor_collapses_to_rank_one():
 
 def test_round_max_rank_cap_reports_violation():
     t = random_tt((6, 6, 6), (1, 5, 5, 1), seed=3)
-    out = round_tt(serial_tt(t), RoundingOptions(1e-12, "LRLI", max_rank=2))
+    out = round_tt(distribute(t, SerialComm()), RoundingOptions(1e-12, "LRLI", max_rank=2))
     assert max(out.ranks) == 2
     assert out.meta["error_bound_violated"]
 
 
 def test_round_single_mode_is_identity():
     t = random_tt((7,), (1, 1), seed=5)
-    out = round_tt(serial_tt(t), RoundingOptions(1e-6, "RLR"))
+    out = round_tt(distribute(t, SerialComm()), RoundingOptions(1e-6, "RLR"))
     assert np.array_equal(out.local[0], t.cores[0].array)
 
 
@@ -446,7 +445,7 @@ def test_round_implicit_flop_savings():
     _, y = redundant_pair((24, 24, 24, 24, 24), 10, seed=43)  # ranks 20 -> 10
     counts = {}
     for variant in ("RLR", "RLRI", "LRL", "LRLI"):
-        dt = serial_tt(y)
+        dt = distribute(y, SerialComm())
         dt.comm.trace.reset()
         out = round_tt(dt, RoundingOptions(1e-10, variant))
         assert max(out.ranks) == 10
@@ -458,7 +457,7 @@ def test_round_implicit_flop_savings():
     t = random_tt((20, 20, 20, 20), (1, 12, 12, 12, 1), seed=44)
     flat = {}
     for variant in ("RLR", "RLRI"):
-        dt = serial_tt(t)
+        dt = distribute(t, SerialComm())
         dt.comm.trace.reset()
         round_tt(dt, RoundingOptions(1e-6, variant))
         flat[variant] = dt.comm.trace.total("flops")
@@ -525,4 +524,4 @@ def test_norm_that_overflows_raises():
         norm(xs, "ortho")
     for variant in ("RLR", "LRLI"):
         with pytest.raises(NumericError):
-            round_tt(serial_tt(xs), RoundingOptions(1e-8, variant))
+            round_tt(xs, RoundingOptions(1e-8, variant))

@@ -2,9 +2,11 @@
 magnitude; the routed leaf's Q built for a triangle; the layout rule of the
 raw BLAS-3 calls, on any layout, dtype and writability; the vectorized Philox
 key derivation against numpy's SeedSequence; the three norms, the n-ary sum,
-the inner product, the Hadamard product, the Kronecker-sum operator apply
-and the TSQR sweeps (`round_tt`, `orthonormalize`) across P."""
+the inner product, the Hadamard product, the Kronecker-sum operator apply,
+`scale`, the TSQR sweeps (`round_tt`, `orthonormalize`), a capped
+`round_tt`, and non-finite input to every norm and sweep, across P."""
 
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -19,6 +21,7 @@ from ttpar import (  # noqa: E402
     DistTTTensor,
     KroneckerOperator,
     RoundingOptions,
+    SerialComm,
     TTCore,
     TTTensor,
     _kernels,
@@ -34,10 +37,11 @@ from ttpar import (  # noqa: E402
     round_tt,
     run_spmd,
     scale,
-    serial_tt,
     tsqr,
 )
 from ttpar.errors import ContractError, NumericError, ShapeError  # noqa: E402
+from ttpar.ops import NORM_METHODS  # noqa: E402
+from ttpar.parallel import ROUNDING_VARIANTS  # noqa: E402
 from ttpar.core import _slice_keys  # noqa: E402
 from ttpar.cost import chain_estimate  # noqa: E402
 from ttpar.tsqr import local_qr  # noqa: E402
@@ -430,8 +434,9 @@ def test_add_is_one_block_stack_across_p(case):
     if nranks is None:
         z = add(*xs)
         _check_sum(xs, z, TTTensor)
-        _check_add_rejects(xs, k, [(serial_tt(xs[0]),) + _MIX, (other,) + _DIMS])
-        _check_add_rejects([serial_tt(x) for x in xs], k, [(serial_tt(xs[0]),) + _COMMS])
+        one = distribute(xs[0], SerialComm())
+        _check_add_rejects(xs, k, [(one,) + _MIX, (other,) + _DIMS])
+        _check_add_rejects([distribute(x, SerialComm()) for x in xs], k, [(one,) + _COMMS])
         gathered = [z]
     else:
         def body(comm):
@@ -439,7 +444,7 @@ def test_add_is_one_block_stack_across_p(case):
             dz = add(*ds)
             _check_sum(ds, dz, DistTTTensor)
             assert dz.comm is comm
-            _check_add_rejects(ds, k, [(xs[0],) + _MIX, (serial_tt(xs[0]),) + _COMMS,
+            _check_add_rejects(ds, k, [(xs[0],) + _MIX, (distribute(xs[0], SerialComm()),) + _COMMS,
                                        (distribute(other, comm),) + _DIMS])
             return gather(dz)
 
@@ -630,8 +635,7 @@ def test_apply_operator_is_the_sum_of_its_terms_across_p(case):
     seq = apply_operator(op, x)
     want = dense_operator(op) @ dense(x).ravel(order="F")
     assert np.linalg.norm(dense(seq).ravel(order="F") - want) <= 1e-12 * np.linalg.norm(want)
-    assert _tt_bytes(apply_operator(op, x, round_eps=round_eps)) == [
-        a.tobytes() for a in rounded(nested(serial_tt(x))).local]
+    assert _tt_bytes(apply_operator(op, x, round_eps=round_eps)) == _tt_bytes(rounded(nested(x)))
 
     def body(comm):
         dx = distribute(x, comm)
@@ -772,3 +776,142 @@ def test_padded_tsqr_keeps_rank_deficient_q_orthonormal():
     x = _sweep_case((2, 3, 2, 2), (1, 2, 3, 2, 1), 1, True, 0.0)[0]
     (_, y), = [v for k, v in _sweep_outputs(x, 0.0, 2)[0].items() if k == ("round", "RLR")]
     assert _orthonormality_loss([c.array for c in y.cores], left=True) <= _SWEEP_SLACK
+
+
+@st.composite
+def nonfinite_cases(draw):
+    """(x, y, P): a random TT x of 1 to 4 modes of size 1 to 6 (so one-mode
+    chains and size-1 modes) with bond ranks 1 to 4, one entry of one of its
+    cores set to NaN, +inf or -inf; a finite y of the same dims; P None
+    (sequential tensors) or 1 to 4, so modes smaller than P leave idle ranks."""
+    n_modes = draw(st.integers(1, 4))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(n_modes))
+    x = random_tt(dims, _chain(draw, n_modes, 4), draw(st.integers(0, 2**16)))
+    y = random_tt(dims, _chain(draw, n_modes, 4), draw(st.integers(0, 2**16)))
+    core = x.cores[draw(st.integers(0, n_modes - 1))].array
+    core[tuple(draw(st.integers(0, s - 1)) for s in core.shape)] = draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    return x, y, draw(st.one_of(st.none(), st.integers(1, 4)))
+
+
+def _nonfinite_case(dims, ranks, n, at, value, nranks):
+    x = random_tt(dims, ranks, 0)
+    x.cores[n].array[at] = value
+    return x, random_tt(dims, ranks, 1), nranks
+
+
+#: Every op that reduces its operand to a number or sweeps it through TSQR.
+_LOUD_OPS = (
+    [lambda x, y, m=m: norm(x, m) for m in NORM_METHODS]
+    + [inner_product, lambda x, y: inner_product(y, x)]
+    + [lambda x, y, d=d: orthonormalize(x, d) for d in ("left", "right")]
+    + [lambda x, y, v=v: round_tt(x, RoundingOptions(1e-8, v)) for v in ROUNDING_VARIANTS]
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(nonfinite_cases())
+@example(_nonfinite_case((7,), (1, 1), 0, (0, 2, 0), np.inf, 4))
+@example(_nonfinite_case((3, 1, 4), (1, 2, 2, 1), 1, (1, 0, 1), np.nan, 3))
+@example(_nonfinite_case((2, 6, 3), (1, 2, 3, 1), 0, (0, 0, 0), -np.inf, 4))
+@example(_nonfinite_case((2, 6, 3), (1, 2, 3, 1), 2, (2, 2, 0), np.nan, None))
+def test_non_finite_input_fails_loudly_across_p(case):
+    """A NaN or an infinity in one core makes the three norms, the inner
+    product in both argument orders, `orthonormalize` in both directions and
+    `round_tt` in all four variants raise `NumericError`, in either flavor
+    and at any P: none returns, and none warns on the way."""
+    x, y, nranks = case
+    for op in _LOUD_OPS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError):
+                if nranks is None:
+                    op(x, y)
+                else:
+                    run_spmd(nranks, lambda comm: op(distribute(x, comm), distribute(y, comm)))
+        assert [str(w.message) for w in caught] == []
+
+
+@st.composite
+def scale_cases(draw):
+    """(x, s): a random TT of 1 to 4 modes of size 1 to 6 with bond ranks 1
+    to 4, and a scalar: 0, -1, 2^-600 or any float in [-1000, 1000]."""
+    n_modes = draw(st.integers(1, 4))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(n_modes))
+    x = random_tt(dims, _chain(draw, n_modes, 4), draw(st.integers(0, 2**16)))
+    s = draw(st.one_of(st.sampled_from([0.0, -1.0, 2.0**-600]),
+                       st.floats(-1000.0, 1000.0, allow_nan=False)))
+    return x, s
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(scale_cases())
+@example((random_tt((5,), (1, 1), 2), -3.5))
+@example((random_tt((2, 1, 3), (1, 3, 2, 1), 3), 0.0))
+def test_scale_across_p(case):
+    """`scale` at P = 1 to 4 gives every rank, byte for byte, its block of
+    the sequential result (empty on idle ranks; the slabs are compared, as
+    `gather` turns a -0.0 into 0.0), which is s times the dense oracle to
+    roundoff."""
+    x, s = case
+    z = scale(x, s)
+    want = s * dense(x)
+    assert type(z) is TTTensor
+    assert np.linalg.norm(dense(z) - want) <= 1e-13 * np.linalg.norm(want)
+
+    def body(comm):
+        dz = scale(distribute(x, comm), s)
+        return [a.tobytes() for a in dz.local] == [
+            c.array[:, slice(*dz.local_bounds(n))].tobytes() for n, c in enumerate(z.cores)]
+
+    for nranks in range(1, 5):
+        assert run_spmd(nranks, body).results == [True] * nranks
+
+
+@st.composite
+def capped_round_cases(draw):
+    """(x, eps0, cap, P): a random TT of 1 to 4 modes of size 1 to 6 with
+    bond ranks 1 to 5, doubled as add(x, x) in half the draws; eps0 from
+    {0, 1e-8, 0.1}; a rank cap from 1 to 6; P from 1 to 4."""
+    n_modes = draw(st.integers(1, 4))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(n_modes))
+    x = random_tt(dims, _chain(draw, n_modes, 5), draw(st.integers(0, 2**16)))
+    return ((add(x, x) if draw(st.booleans()) else x),
+            draw(st.sampled_from([0.0, 1e-8, 0.1])), draw(st.integers(1, 6)),
+            draw(st.integers(1, 4)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(capped_round_cases())
+@example((random_tt((4, 5, 3), (1, 4, 5, 1), 4), 1e-8, 3, 4))
+@example((random_tt((3, 1, 4), (1, 3, 3, 1), 5), 0.0, 3, 3))
+@example((random_tt((6,), (1, 1), 6), 0.1, 1, 4))
+def test_round_with_max_rank_across_p(case):
+    """`round_tt` with a rank cap, in all four variants at P = 1 to 4:
+    ``error_bound_violated`` is set exactly when the cap is below the largest
+    bond rank the uncapped round keeps; a cap at or above that rank gives the
+    uncapped output byte for byte; and whenever the flag is clear, the output
+    is within eps0 ||x|| of x by the dense oracle, plus roundoff slack."""
+    x, eps0, cap, nranks = case
+    want = dense(x)
+
+    def body(comm):
+        dx = distribute(x, comm)
+        out = {}
+        for v in ROUNDING_VARIANTS:
+            free = round_tt(dx, RoundingOptions(eps0, v))
+            capped = round_tt(dx, RoundingOptions(eps0, v, max_rank=cap))
+            out[v] = (free.ranks, free.meta["error_bound_violated"], gather(free),
+                      capped.ranks, capped.meta["error_bound_violated"], gather(capped))
+        return out
+
+    for res in run_spmd(nranks, body).results:
+        for free_ranks, free_flag, free, ranks, flag, y in res.values():
+            top = max(free_ranks)
+            assert not free_flag and max(ranks) <= cap
+            assert flag == (cap < top)
+            if cap >= top:
+                assert ranks == free_ranks and _tt_bytes(y) == _tt_bytes(free)
+            if not flag:
+                err = np.linalg.norm(dense(y) - want)
+                assert err <= (eps0 + _SWEEP_SLACK) * np.linalg.norm(want)

@@ -78,3 +78,27 @@ def test_kernels_have_one_layout_rule():
         and id(node) not in inside
     ]
     assert found == []
+
+
+def test_only_enter_tells_the_tensor_flavors_apart():
+    """In `ttpar` only `parallel._enter` calls ``isinstance`` on `TTTensor`
+    or `DistTTTensor`, so every op takes either flavor by one rule and
+    returns its result in the flavor it was given."""
+    flavors = {"TTTensor", "DistTTTensor"}
+    found = []
+    for f in sorted(Path(ttpar.__file__).parent.rglob("*.py")):
+        tree = ast.parse(f.read_text(encoding="utf-8"), filename=str(f))
+        inside = set()
+        if f.name == "parallel.py":
+            rule = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_enter"]
+            assert len(rule) == 1
+            inside = {id(node) for node in ast.walk(rule[0])}
+        found += [
+            f"{f.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and id(node) not in inside
+            and flavors & {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+        ]
+    assert found == []
