@@ -15,7 +15,6 @@ from .comm import (
     run_spmd,
 )
 from .core import (
-    TTCore,
     TTTensor,
     entry,
     full,
@@ -58,7 +57,6 @@ __all__ = [
     "SerialComm",
     "SimComm",
     "TSQRFactor",
-    "TTCore",
     "TTTensor",
     "Trace",
     "TruncatedSVD",

@@ -63,70 +63,33 @@ _KEY_CHUNK = 1 << 14
 _CHUNK_DRAWS = 1 << 17
 
 
-class TTCore:
-    """One 3-way TT core in the natural descending layout.
-
-    Parameters
-    ----------
-    array : array_like
-        Data of shape ``(r_left, dim, r_right)``.  Copied/converted to a
-        Fortran-ordered float64 array if needed.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, array):
-        arr = np.asarray(array, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeError(f"core must be 3-way, got ndim={arr.ndim}")
-        if arr.shape[0] < 1 or arr.shape[2] < 1:
-            raise ShapeError(f"core ranks must be positive, got shape {arr.shape}")
-        self.array = np.asfortranarray(arr)
-
-    @property
-    def r_left(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[1]
-
-    @property
-    def r_right(self) -> int:
-        return self.array.shape[2]
-
-    def vertical(self) -> np.ndarray:
-        """Zero-copy ``(r_left * dim, r_right)`` matricization."""
-        rl, d, rr = self.array.shape
-        return self.array.reshape((rl * d, rr), order="F")
-
-    def horizontal(self) -> np.ndarray:
-        """Zero-copy ``(r_left, dim * r_right)`` matricization."""
-        rl, d, rr = self.array.shape
-        return self.array.reshape((rl, d * rr), order="F")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"TTCore{self.array.shape}"
-
-
 class TTTensor:
-    """A tensor train: a chain of `TTCore`s with matching bond ranks."""
+    """A tensor train: a chain of 3-way cores with matching bond ranks.
+
+    Each core is a float64 ``(r_left, dim, r_right)`` array in F order, so
+    its vertical and horizontal matricizations are zero-copy F-order
+    reshapes.  An array-like core is converted once; an array already in
+    that form is kept as is, not copied.
+    """
 
     __slots__ = ("cores",)
 
     def __init__(self, cores):
-        cores = [c if isinstance(c, TTCore) else TTCore(c) for c in cores]
-        if not cores:
-            raise ShapeError("a TT tensor needs at least one core")
-        if cores[0].r_left != 1 or cores[-1].r_right != 1:
-            raise ShapeError("end ranks must be 1")
-        for k in range(len(cores) - 1):
-            if cores[k].r_right != cores[k + 1].r_left:
+        arrays = []
+        for c in cores:
+            arr = np.asarray(c, dtype=np.float64)
+            if arr.ndim != 3:
+                raise ShapeError(f"core must be 3-way, got ndim={arr.ndim}")
+            arrays.append(np.asfortranarray(arr))
+        for k in range(len(arrays) - 1):
+            if arrays[k].shape[2] != arrays[k + 1].shape[0]:
                 raise ShapeError(
                     f"rank mismatch between cores {k} and {k + 1}: "
-                    f"{cores[k].r_right} != {cores[k + 1].r_left}"
+                    f"{arrays[k].shape[2]} != {arrays[k + 1].shape[0]}"
                 )
-        self.cores = cores
+        ranks = [c.shape[0] for c in arrays[:1]] + [c.shape[2] for c in arrays]
+        _check_chain([c.shape[1] for c in arrays], ranks)
+        self.cores = arrays
 
     @property
     def ndim(self) -> int:
@@ -134,12 +97,12 @@ class TTTensor:
 
     @property
     def dims(self) -> tuple:
-        return tuple(c.dim for c in self.cores)
+        return tuple(c.shape[1] for c in self.cores)
 
     @property
     def ranks(self) -> tuple:
         """Bond ranks ``(R_0, ..., R_N)`` with ``R_0 = R_N = 1``."""
-        return (1,) + tuple(c.r_right for c in self.cores)
+        return (1,) + tuple(c.shape[2] for c in self.cores)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TTTensor(dims={self.dims}, ranks={self.ranks})"
@@ -153,9 +116,9 @@ def entry(t: TTTensor, idx) -> float:
     for i, d in zip(idx, t.dims):
         if not 0 <= i < d:
             raise BoundsError(f"index {idx} out of bounds for dims {t.dims}")
-    v = t.cores[0].array[0, idx[0], :]
+    v = t.cores[0][0, idx[0], :]
     for core, i in zip(t.cores[1:], idx[1:]):
-        v = np.dot(v, core.array[:, i, :])
+        v = np.dot(v, core[:, i, :])
     return float(v[0])
 
 
@@ -180,7 +143,7 @@ def full(t: TTTensor, max_entries: int = DEFAULT_FULL_CAPACITY) -> np.ndarray:
         )
     out = np.empty(total)
     # Pre-cut the slice views once; the DFS below touches them dims[n] times.
-    slices = [[c.array[:, i, :] for i in range(c.dim)] for c in t.cores]
+    slices = [[c[:, i, :] for i in range(c.shape[1])] for c in t.cores]
     strides = [1] * len(dims)
     for n in range(1, len(dims)):
         strides[n] = strides[n - 1] * dims[n - 1]
@@ -198,10 +161,10 @@ def full(t: TTTensor, max_entries: int = DEFAULT_FULL_CAPACITY) -> np.ndarray:
 
     if len(dims) == 1:
         for i in range(dims[0]):
-            out[i] = float(t.cores[0].array[0, i, :][0])
+            out[i] = float(t.cores[0][0, i, :][0])
     else:
         for i in range(dims[0]):
-            sweep(1, i * strides[0], t.cores[0].array[0, i, :])
+            sweep(1, i * strides[0], t.cores[0][0, i, :])
     return out.reshape(dims, order="F")
 
 
@@ -209,7 +172,7 @@ def _check_chain(dims, ranks):
     """``(dims, ranks)`` as tuples of ints, or `ShapeError`: every entry is
     integral (4.0 passes; 4.7, NaN, an infinity or "4" does not), dims are
     >= 1, there is one rank more than dims, and ranks are >= 1 with unit
-    ends."""
+    ends.  `TTTensor` checks its cores' chain here too."""
     raw = tuple(dims), tuple(ranks)
     try:
         dims, ranks = (tuple(map(int, seq)) for seq in raw)
@@ -221,10 +184,10 @@ def _check_chain(dims, ranks):
         raise ShapeError(f"dims must be positive, got {dims}")
     if len(ranks) != len(dims) + 1:
         raise ShapeError(f"need {len(dims) + 1} ranks for {len(dims)} modes, got {len(ranks)}")
-    if ranks[0] != 1 or ranks[-1] != 1:
-        raise ShapeError(f"end ranks must be 1, got {ranks[0]} and {ranks[-1]}")
     if any(r < 1 for r in ranks):
         raise ShapeError(f"ranks must be positive, got {ranks}")
+    if ranks[0] != 1 or ranks[-1] != 1:
+        raise ShapeError(f"end ranks must be 1, got {ranks[0]} and {ranks[-1]}")
     return dims, ranks
 
 
@@ -390,7 +353,7 @@ def random_tt(dims, ranks, seed: int) -> TTTensor:
     for n, d in enumerate(dims):
         arr = np.empty((ranks[n], d, ranks[n + 1]), order="F")
         fill_random_slab(arr, n, 0, seed)
-        cores.append(TTCore(arr))
+        cores.append(arr)
     return TTTensor(cores)
 
 
@@ -400,8 +363,7 @@ def _left_chain(cores, upto: int) -> np.ndarray:
     Rows are linearized with the first mode fastest.
     """
     t = np.ones((1, 1))
-    for c in cores[:upto]:
-        arr = c.array
+    for arr in cores[:upto]:
         t = np.tensordot(t, arr, axes=(1, 0))
         t = t.reshape((t.shape[0] * arr.shape[1], arr.shape[2]), order="F")
     return t
@@ -413,8 +375,7 @@ def _right_chain(cores, start: int) -> np.ndarray:
     Columns are linearized with the first remaining mode fastest.
     """
     t = np.ones((1, 1))
-    for c in reversed(cores[start:]):
-        arr = c.array
+    for arr in reversed(cores[start:]):
         t = np.tensordot(arr, t, axes=(2, 0))
         t = t.reshape((arr.shape[0], arr.shape[1] * t.shape[2]), order="F")
     return t
@@ -448,8 +409,8 @@ def verify_quadprod(t: TTTensor, n: int, max_entries: int = DEFAULT_FULL_CAPACIT
 
     q = _left_chain(t.cores, n - 1)
     z = _right_chain(t.cores, n + 1)
-    v = t.cores[n - 1].vertical()
-    arr = t.cores[n].array
+    v = t.cores[n - 1].reshape((ranks[n - 1] * dims[n - 1], ranks[n]), order="F")
+    arr = t.cores[n]
     hs = arr.transpose(0, 2, 1).reshape((ranks[n], ranks[n + 1] * i_next), order="F")
 
     rhs = np.kron(np.eye(dims[n - 1]), q) @ v @ hs @ np.kron(np.eye(i_next), z)
@@ -466,7 +427,7 @@ def save_tt(path, t: TTTensor) -> None:
         header = np.array((t.ndim,) + dims + ranks, dtype="<u8")
         f.write(header.tobytes())
         for c in t.cores:
-            f.write(np.ascontiguousarray(c.array.ravel(order="F"), dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(c.ravel(order="F"), dtype="<f8").tobytes())
 
 
 def load_tt(path) -> TTTensor:
@@ -502,7 +463,7 @@ def load_tt(path) -> TTTensor:
         if need != size:
             raise ShapeError(f"TT file has {size} bytes, its header implies {need}")
         cores = [
-            TTCore(read(prod(shape), "<f8", f"core {k}").copy().reshape(shape, order="F"))
+            read(prod(shape), "<f8", f"core {k}").copy().reshape(shape, order="F")
             for k, shape in enumerate(shapes)
         ]
     return TTTensor(cores)

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg.blas import dasum
 
 from .comm import Communicator, SerialComm, _check_count
-from .core import TTCore, TTTensor, fill_random_slab, _check_chain
+from .core import TTTensor, fill_random_slab, _check_chain
 from ._kernels import SVD_FLOPS_PER_MN2, dgemm, dgesdd, dtrmm
 from .errors import ContractError, NumericError, ShapeError
 from .tsqr import tsqr_apply_q, tsqr_factor
@@ -68,7 +68,7 @@ class DistTTTensor:
 
     ``dims``/``ranks`` are global; ``local[n]`` has shape
     ``(ranks[n], hi - lo, ranks[n+1])`` for this rank's block of mode n,
-    Fortran-ordered like `TTCore`.
+    Fortran-ordered like a `TTTensor`'s cores.
     """
 
     comm: Communicator
@@ -117,15 +117,6 @@ class DistTTTensor:
             slabs.append(arr)
         return cls(comm, dims, ranks, slabs)
 
-    def copy(self) -> "DistTTTensor":
-        return DistTTTensor(
-            self.comm,
-            self.dims,
-            self.ranks,
-            [s.copy(order="F") for s in self.local],
-            dict(self.meta),
-        )
-
 
 def distribute(t: TTTensor, comm: Communicator) -> DistTTTensor:
     """Lay a sequential tensor onto the communicator as row blocks.
@@ -137,20 +128,23 @@ def distribute(t: TTTensor, comm: Communicator) -> DistTTTensor:
     """
     slabs = []
     for core in t.cores:
-        lo, hi = block_bounds(core.dim, comm.size, comm.rank)
-        slabs.append(core.array[:, lo:hi, :])
+        lo, hi = block_bounds(core.shape[1], comm.size, comm.rank)
+        slabs.append(core[:, lo:hi, :])
     return DistTTTensor(comm, t.dims, t.ranks, slabs)
 
 
 def gather(dt: DistTTTensor) -> TTTensor:
-    """Reassemble the sequential tensor on every rank (allreduce of padded slabs)."""
+    """Reassemble the sequential tensor on every rank (allreduce of padded slabs).
+
+    The pads are -0.0, which adds to any float64 v as exactly v, so every
+    entry, a -0.0 included, comes back bitwise.
+    """
     cores = []
     for n, slab in enumerate(dt.local):
         lo, hi = dt.local_bounds(n)
-        pad = np.zeros((dt.ranks[n], dt.dims[n], dt.ranks[n + 1]), order="F")
+        pad = np.full((dt.ranks[n], dt.dims[n], dt.ranks[n + 1]), -0.0, order="F")
         pad[:, lo:hi, :] = slab
-        summed = dt.comm.allreduce_sum(pad)
-        cores.append(TTCore(np.asfortranarray(summed)))
+        cores.append(dt.comm.allreduce_sum(pad))
     return TTTensor(cores)
 
 
@@ -162,7 +156,7 @@ def _enter(x, comm=None):
         return x, lambda dt: dt
     if isinstance(x, TTTensor):
         dt = distribute(x, comm or SerialComm())
-        return dt, lambda out: TTTensor([TTCore(s) for s in out.local])
+        return dt, lambda out: TTTensor(out.local)
     raise ContractError(f"expected TTTensor or DistTTTensor, got {type(x).__name__}")
 
 
@@ -496,7 +490,8 @@ def round_tt(x, opts: RoundingOptions):
     ``||round(x) - x|| <= eps0 ||x||`` overall.  Output cores are orthonormal
     on the side the truncation sweep started from.  Tensors that are exactly
     zero collapse to the canonical rank-1 zero.  A one-mode chain comes back
-    as a copy.  A NaN or an infinity anywhere raises `NumericError`.
+    as a copy, and its ``meta`` has every key of a longer chain's but
+    ``eps_bond``.  A NaN or an infinity anywhere raises `NumericError`.
     Either flavor is accepted (`_enter`): a `TTTensor` comes back as a
     `TTTensor`, bitwise the one-rank result, but without ``meta`` (output
     ranks, norm, ``error_bound_violated``); pass
@@ -510,11 +505,13 @@ def round_tt(x, opts: RoundingOptions):
         "eps0": opts.eps0,
         "error_bound_violated": False,
     }
-    if N == 1:
-        _check_finite(dt.local[0])
-        out = dt.copy()
-        out.meta.update(meta)
-        return leave(out)
+    if N == 1:  # no bond: the norm, and a copy of the one core
+        with tr.phase("Other"):
+            meta["norm"] = _end_core_norm(comm, dt.local[0])
+        meta["output_ranks"] = dt.ranks
+        if meta["norm"] == 0.0:
+            meta["zero"] = True
+        return leave(DistTTTensor(comm, dt.dims, dt.ranks, [dt.local[0].copy(order="F")], meta))
 
     orth, trunc = _sweeps(opts.variant)
     slabs, facs = _qr_sweep(dt, orth, implicit=opts.variant.endswith("I"))

@@ -34,9 +34,9 @@ _FULL_SHAPES = [
 
 def dense(t: TTTensor) -> np.ndarray:
     """Independent dense reconstruction by pairwise tensordot contraction."""
-    out = t.cores[0].array
+    out = t.cores[0]
     for c in t.cores[1:]:
-        out = np.tensordot(out, c.array, axes=([out.ndim - 1], [0]))
+        out = np.tensordot(out, c, axes=([out.ndim - 1], [0]))
     # shape is (1, I_1, ..., I_N, 1); dropping the unit bond axes is layout-free
     return out.reshape(t.dims)
 
@@ -122,7 +122,7 @@ def _check_orthonormalize(quick: bool):
         got = run_spmd(p, body).results[0]
         worst = max(worst, np.linalg.norm(full(got) - want) / np.linalg.norm(want))
         for n in range(1, 3):
-            c = got.cores[n].array
+            c = got.cores[n]
             h = c.reshape((c.shape[0], -1), order="F")
             worst = max(worst, float(np.abs(h @ h.T - np.eye(h.shape[0])).max()))
     return worst <= 1e-12, f"value/orthonormality residual {worst:.2e} (tol 1e-12)"
@@ -201,7 +201,7 @@ def _check_file_roundtrip(quick: bool):
     finally:
         os.unlink(path)
     bitwise = blob1 == blob2 and all(
-        np.array_equal(a.array, b.array) for a, b in zip(t.cores, back.cores)
+        np.array_equal(a, b) for a, b in zip(t.cores, back.cores)
     )
     return bitwise, "save/load/save round trip is bitwise stable"
 

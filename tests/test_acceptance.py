@@ -118,12 +118,12 @@ def test_criterion_2_orthonormalization(capsys):
                 worst_val = max(worst_val, rel(dense(g), ref))
                 if direction == "right":
                     # every core but the first is row-orthonormal horizontally
-                    for c in (core.array for core in g.cores[1:]):
+                    for c in g.cores[1:]:
                         h = c.reshape(c.shape[0], -1, order="F")
                         worst_orth = max(worst_orth, np.linalg.norm(
                             h @ h.T - np.eye(c.shape[0])))
                 else:
-                    for c in (core.array for core in g.cores[:-1]):
+                    for c in g.cores[:-1]:
                         v = c.reshape(-1, c.shape[2], order="F")
                         worst_orth = max(worst_orth, np.linalg.norm(
                             v.T @ v - np.eye(c.shape[2])))

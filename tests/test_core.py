@@ -8,7 +8,6 @@ from ttpar.cost import chain_estimate
 from ttpar.core import (
     _CHUNK_DRAWS,
     _KEY_CHUNK,
-    TTCore,
     TTTensor,
     entry,
     fill_random_slab,
@@ -32,28 +31,33 @@ def random_chain(rng, n_max=5, d_max=6, r_max=5):
 
 
 def test_unfolding_views_alias_exhaustively():
-    """V and H are zero-copy views with the documented index maps, all shapes <= 4x5x3."""
+    """A core's vertical and horizontal F-order reshapes are zero-copy views
+    with the documented index maps, all shapes <= 4x5x3."""
     rng = np.random.default_rng(0)
     for rl in range(1, 5):
         for d in range(1, 6):
             for rr in range(1, 4):
-                core = TTCore(rng.standard_normal((rl, d, rr)))
-                v, h = core.vertical(), core.horizontal()
-                assert np.shares_memory(v, core.array)
-                assert np.shares_memory(h, core.array)
+                core = np.asfortranarray(rng.standard_normal((rl, d, rr)))
+                v = core.reshape((rl * d, rr), order="F")
+                h = core.reshape((rl, d * rr), order="F")
+                assert np.shares_memory(v, core) and np.shares_memory(h, core)
                 for a in range(rl):
                     for i in range(d):
                         for b in range(rr):
-                            assert v[a + i * rl, b] == core.array[a, i, b]
-                            assert h[a, i + b * d] == core.array[a, i, b]
+                            assert v[a + i * rl, b] == core[a, i, b]
+                            assert h[a, i + b * d] == core[a, i, b]
 
 
 def test_core_is_fortran_ordered():
-    """Construction from a C-ordered array normalizes to Fortran order."""
-    a = np.arange(24.0).reshape(2, 4, 3)
-    core = TTCore(a)
-    assert core.array.flags.f_contiguous
-    assert (core.array == a).all()
+    """A C-ordered or integer core comes back F-ordered float64 with the same
+    entries; an F-ordered float64 core is kept, not copied."""
+    a = np.arange(24.0).reshape(1, 24, 1)
+    for given in (a, a.astype(np.int64)):
+        core = TTTensor([given]).cores[0]
+        assert core.dtype == np.float64 and core.flags.f_contiguous
+        assert (core == a).all()
+    f = np.asfortranarray(np.ones((1, 3, 2)))
+    assert TTTensor([f, np.ones((2, 3, 1))]).cores[0] is f
 
 
 def test_tensor_validation():
@@ -71,6 +75,8 @@ def test_tensor_validation():
     for shape in ((0, 3, 1), (1, 3, 0)):
         with pytest.raises(ShapeError, match="ranks must be positive"):
             TTTensor([np.ones(shape)])
+    with pytest.raises(ShapeError, match="dims must be positive"):
+        TTTensor([np.ones((1, 0, 2)), np.ones((2, 3, 1))])
 
 
 def test_entry_matches_einsum_oracle():
@@ -102,7 +108,7 @@ def test_full_single_mode():
     """A 1-mode train is just a vector."""
     t = random_tt((7,), (1, 1), seed=3)
     dense = full(t)
-    assert np.array_equal(dense, t.cores[0].array[0, :, 0])
+    assert np.array_equal(dense, t.cores[0][0, :, 0])
     assert dense[(4,)] == entry(t, (4,))
 
 
@@ -130,26 +136,24 @@ def test_random_tt_deterministic():
     b = random_tt((4, 5, 3), (1, 3, 2, 1), seed=42)
     c = random_tt((4, 5, 3), (1, 3, 2, 1), seed=43)
     for ca, cb in zip(a.cores, b.cores):
-        assert np.array_equal(ca.array, cb.array)
-    assert any(not np.array_equal(ca.array, cc.array) for ca, cc in zip(a.cores, c.cores))
+        assert np.array_equal(ca, cb)
+    assert any(not np.array_equal(ca, cc) for ca, cc in zip(a.cores, c.cores))
 
 
 def test_random_tt_slice_streams_are_independent():
     """Each (core, slice) pair owns a stream: slabs can be rebuilt in isolation."""
     t = random_tt((6, 4, 5), (1, 3, 2, 1), seed=7)
     for n, core in enumerate(t.cores):
-        for i in range(core.dim):
-            g = slice_rng(7, n, i)
-            expect = g.standard_normal(core.r_left * core.r_right).reshape(
-                (core.r_left, core.r_right), order="F"
-            )
-            assert np.array_equal(core.array[:, i, :], expect)
+        rl, d, rr = core.shape
+        for i in range(d):
+            expect = slice_rng(7, n, i).standard_normal(rl * rr).reshape((rl, rr), order="F")
+            assert np.array_equal(core[:, i, :], expect)
 
 
 def test_random_tt_statistical_sanity():
     """Mean of ~1e5 standard normal draws lands within 3 sigma of zero."""
     t = random_tt((250, 250), (1, 200, 1), seed=11)
-    entries = np.concatenate([c.array.ravel() for c in t.cores])
+    entries = np.concatenate([c.ravel() for c in t.cores])
     assert entries.size == 100_000
     assert abs(entries.mean()) < 3.0 / np.sqrt(entries.size)
     assert abs(entries.std() - 1.0) < 0.02
@@ -206,7 +210,7 @@ def test_random_tt_modes_longer_than_one_chunk(ranks):
     """
     d = _KEY_CHUNK + 5 if ranks[1] == 1 else 500
     t = random_tt((d, 3), ranks, seed=9)
-    a = t.cores[0].array
+    a = t.cores[0]
     step = min(_KEY_CHUNK, _CHUNK_DRAWS // ranks[1])
     for i in {0, step - 1, step, step + 1, d - 1}:
         assert np.array_equal(a[:, i, :], _slice_from_stream(9, 0, i, 1, ranks[1]))
@@ -230,7 +234,7 @@ def test_random_generation_builds_no_seed_sequence_per_slice(monkeypatch):
     t = random_tt((1000,), (1, 1), seed=3)
     assert built == [(0, 0)]
     monkeypatch.undo()
-    assert np.array_equal(t.cores[0].array[:, 999, :], _slice_from_stream(3, 0, 999, 1, 1))
+    assert np.array_equal(t.cores[0][:, 999, :], _slice_from_stream(3, 0, 999, 1, 1))
 
 
 def test_random_generation_checks_keys_against_numpy(monkeypatch):
@@ -260,7 +264,7 @@ def test_random_generation_accepts_numpy_integer_seeds():
         a = random_tt((4, 3), (1, 2, 1), seed=seed)
         b = random_tt((4, 3), (1, 2, 1), seed=int(seed))
         for ca, cb in zip(a.cores, b.cores):
-            assert np.array_equal(ca.array, cb.array)
+            assert np.array_equal(ca, cb)
 
 
 def test_fill_random_slab_rejects_negative_indices():
@@ -294,7 +298,7 @@ def test_quadprod_boundary_splits():
 def test_quadprod_detects_corruption():
     """Scrambling one core breaks the identity (the check is not vacuous)."""
     t = random_tt((3, 4, 5), (1, 3, 3, 1), seed=12)
-    t.cores[1].array[:, 2, :] *= -1.0
+    t.cores[1][:, 2, :] *= -1.0
     # Rebuild a fresh tensor whose middle core disagrees with the original
     # only in the dense side: recompute against the unmodified chain.
     clean = random_tt((3, 4, 5), (1, 3, 3, 1), seed=12)
@@ -316,8 +320,8 @@ def test_save_load_roundtrip_bitwise(tmp_path):
         back = load_tt(p)
         assert back.dims == t.dims and back.ranks == t.ranks
         for ca, cb in zip(t.cores, back.cores):
-            assert np.array_equal(ca.array, cb.array)
-            assert cb.array.flags.f_contiguous
+            assert np.array_equal(ca, cb)
+            assert cb.flags.f_contiguous
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -126,16 +126,15 @@ def test_round_and_orthonormalize_take_either_flavor(dims, ranks):
     calls += [lambda t, v=v, c=c: round_tt(t, RoundingOptions(1e-8, v, max_rank=c))
               for v in ROUNDING_VARIANTS for c in (None, 1)]
     for t in (x, scale(x, 0.0)):
-        before = [c.array.tobytes() for c in t.cores]
+        before = [c.tobytes() for c in t.cores]
         for call in calls:
             out = call(t)
             want = call(distribute(t, SerialComm()))
             assert type(out) is TTTensor and not hasattr(out, "meta")
             assert out.ranks == want.ranks
-            assert [c.array.tobytes() for c in out.cores] == [s.tobytes() for s in want.local]
-            assert not any(np.shares_memory(a.array, b.array)
-                           for a in out.cores for b in t.cores)
-        assert [c.array.tobytes() for c in t.cores] == before
+            assert [c.tobytes() for c in out.cores] == [s.tobytes() for s in want.local]
+            assert not any(np.shares_memory(a, b) for a in out.cores for b in t.cores)
+        assert [c.tobytes() for c in t.cores] == before
 
 
 def test_dimension_mismatch_rejected():
@@ -417,12 +416,12 @@ def test_apply_operator_distributed_matches():
         op = kron_sum_operator(dims)
         want = dense_operator(op) @ full(x).ravel(order="F")
         # each output entry sums its row's terms in column order on any P
-        seq = [k.array.tobytes() for k in apply_operator(op, x).cores]
+        seq = [k.tobytes() for k in apply_operator(op, x).cores]
 
         def body(comm):
             z = gather(apply_operator(op, distribute(x, comm)))
             assert np.allclose(full(z).ravel(order="F"), want, atol=1e-12)
-            assert [k.array.tobytes() for k in z.cores] == seq
+            assert [k.tobytes() for k in z.cores] == seq
 
         for p in nranks:
             run_spmd(p, body)
@@ -486,7 +485,7 @@ def test_apply_operator_sums_its_terms_in_one_add():
     ones = [KroneckerOperator(dims, [t]) for t in op.terms]
 
     def as_bytes(t):
-        return [k.array.tobytes() for k in t.cores]
+        return [k.tobytes() for k in t.cores]
 
     want = as_bytes(reduce(add, [apply_operator(o, x) for o in ones]))
     assert as_bytes(apply_operator(op, x)) == want
@@ -522,7 +521,7 @@ def test_apply_operator_holds_no_term_tensors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - sum(c.array.nbytes for c in z.cores) < 4 * x.cores[1].array.nbytes
+    assert peak - sum(c.nbytes for c in z.cores) < 4 * x.cores[1].nbytes
 
 
 def test_apply_operator_max_rank_needs_round_eps():
@@ -564,9 +563,7 @@ def test_sequential_ops_match_the_one_rank_tensor_bytewise(c):
     ]
     for seq, one in tensors:
         assert isinstance(seq, TTTensor)
-        assert [k.array.tobytes() for k in seq.cores] == [
-            k.array.tobytes() for k in gather(one).cores
-        ]
+        assert [k.tobytes() for k in seq.cores] == [k.tobytes() for k in gather(one).cores]
     assert np.float64(inner_product(x, y)).tobytes() == np.float64(inner_product(sx, sy)).tobytes()
     for method in ops.NORM_METHODS:
         v, w = norm(x, method), norm(sx, method)
@@ -677,7 +674,7 @@ def test_sym_norm_of_a_non_finite_tensor_raises(nranks, core, at, value):
     0.0), or an inf that raised only after a divide warning: the carry is
     non-finite after its rescue, so `NumericError`, and no warning."""
     x = random_tt((4, 5, 3), (1, 2, 3, 1), seed=3)
-    x.cores[core].array[at] = value
+    x.cores[core][at] = value
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericError, match="non-finite Gram carry"):
@@ -722,9 +719,9 @@ def test_sequential_ortho_norm_leaves_its_cores_alone(c):
     tensor's bit for bit."""
     x0 = random_tt((6, 5, 4, 7), (1, 3, 4, 3, 1), seed=3)
     x = scale(x0, c)
-    before = [core.array.tobytes() for core in x.cores]
+    before = [core.tobytes() for core in x.cores]
     val = norm(x, "ortho")
-    assert [core.array.tobytes() for core in x.cores] == before
+    assert [core.tobytes() for core in x.cores] == before
     assert val == norm(distribute(x, SerialComm()), "ortho")
     assert val == pytest.approx(c * np.linalg.norm(dense(x0)), rel=1e-12)
 

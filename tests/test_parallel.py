@@ -57,7 +57,7 @@ def test_distribute_gather_roundtrip():
         dt = distribute(t, comm)
         back = gather(dt)
         for a, b in zip(back.cores, t.cores):
-            assert np.array_equal(a.array, b.array)
+            assert np.array_equal(a, b)
 
     run_spmd(3, body)
 
@@ -73,11 +73,11 @@ def test_distribute_leaves_trailing_ranks_idle():
             assert dt.local_bounds(1) == (2, 2)
             assert dt.local[1].shape == (2, 0, 2)
         for a, b in zip(gather(dt).cores, t.cores):
-            assert np.array_equal(a.array, b.array)
+            assert np.array_equal(a, b)
 
     run_spmd(3, body)
     one = distribute(t, SerialComm())
-    assert all(np.shares_memory(s, c.array) for s, c in zip(one.local, t.cores))
+    assert all(np.shares_memory(s, c) for s, c in zip(one.local, t.cores))
 
 
 def test_random_dist_matches_sequential_bitwise():
@@ -137,7 +137,7 @@ def test_orthonormalize_preserves_value(direction, nranks):
     got = runs.results[0]
     N = len(got.cores)
     for n in range(N):
-        c = got.cores[n].array
+        c = got.cores[n]
         if direction == "right" and n > 0:
             h = c.reshape((c.shape[0], -1), order="F")
             assert np.allclose(h @ h.T, np.eye(h.shape[0]), atol=1e-12)
@@ -172,7 +172,7 @@ def test_orthonormalize_handles_empty_tail_slab():
 def test_orthonormalize_single_mode_is_copy():
     t = random_tt((6,), (1, 1), seed=2)
     out = orthonormalize(distribute(t, SerialComm()), "right")
-    assert np.array_equal(out.local[0], t.cores[0].array)
+    assert np.array_equal(out.local[0], t.cores[0])
 
 
 def test_orthonormalize_bad_direction():
@@ -345,11 +345,11 @@ def test_round_output_cores_orthonormal_on_swept_side(variant):
     N = len(out.cores)
     if variant.startswith("R"):  # truncation swept left-to-right
         for n in range(N - 1):
-            v = out.cores[n].array.reshape((-1, out.ranks[n + 1]), order="F")
+            v = out.cores[n].reshape((-1, out.ranks[n + 1]), order="F")
             assert np.allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-12)
     else:
         for n in range(1, N):
-            h = out.cores[n].array.reshape((out.ranks[n], -1), order="F")
+            h = out.cores[n].reshape((out.ranks[n], -1), order="F")
             assert np.allclose(h @ h.T, np.eye(h.shape[0]), atol=1e-12)
 
 
@@ -402,7 +402,7 @@ def test_round_invariant_under_nranks(variant):
 def test_round_zero_tensor_collapses_to_rank_one():
     t = random_tt((4, 5, 4), (1, 3, 3, 1), seed=2)
     for c in t.cores:
-        c.array[:] = 0.0
+        c[:] = 0.0
     out = round_tt(distribute(t, SerialComm()), RoundingOptions(1e-6, "RLR"))
     assert out.ranks == (1, 1, 1, 1)
     assert out.meta.get("zero") is True
@@ -419,7 +419,20 @@ def test_round_max_rank_cap_reports_violation():
 def test_round_single_mode_is_identity():
     t = random_tt((7,), (1, 1), seed=5)
     out = round_tt(distribute(t, SerialComm()), RoundingOptions(1e-6, "RLR"))
-    assert np.array_equal(out.local[0], t.cores[0].array)
+    assert np.array_equal(out.local[0], t.cores[0])
+
+
+def test_round_single_mode_reports_its_own_meta():
+    """A one-mode round reports the keys of a two-mode round but the bond
+    threshold ``eps_bond``, none of its input's: its norm, output ranks
+    (1, 1), and ``zero`` for a zero vector."""
+    one = orthonormalize(distribute(random_tt((7,), (1, 1), seed=5), SerialComm()), "right")
+    two = distribute(random_tt((7, 3), (1, 2, 1), seed=5), SerialComm())
+    got = round_tt(one, RoundingOptions(1e-8)).meta
+    assert set(got) == set(round_tt(two, RoundingOptions(1e-8)).meta) - {"eps_bond"}
+    assert got["output_ranks"] == (1, 1)
+    assert np.isclose(got["norm"], np.linalg.norm(one.local[0]), rtol=1e-15, atol=0.0)
+    assert round_tt(scale(one, 0.0), RoundingOptions(1e-8)).meta["zero"] is True
 
 
 def test_round_rejects_bad_options():

@@ -22,7 +22,6 @@ from ttpar import (  # noqa: E402
     KroneckerOperator,
     RoundingOptions,
     SerialComm,
-    TTCore,
     TTTensor,
     _kernels,
     add,
@@ -388,7 +387,7 @@ def add_cases(draw):
 
 
 def _slabs(t):
-    return t.local if isinstance(t, DistTTTensor) else [c.array for c in t.cores]
+    return t.local if isinstance(t, DistTTTensor) else t.cores
 
 
 def _check_sum(ts, z, flavor):
@@ -556,8 +555,7 @@ def test_hadamard_is_a_slab_local_kronecker_product_across_p(case):
     want = dense(x) * dense(y)
     if nranks is None:
         z = hadamard(x, y)
-        _check_hadamard_slabs([c.array for c in x.cores], [c.array for c in y.cores],
-                              [c.array for c in z.cores], want_ranks, z.ranks)
+        _check_hadamard_slabs(x.cores, y.cores, z.cores, want_ranks, z.ranks)
         gathered = [z]
     else:
         def body(comm):
@@ -583,15 +581,18 @@ def test_hadamard_is_a_slab_local_kronecker_product_across_p(case):
 
 @st.composite
 def operator_cases(draw):
-    """(x, op, round_eps, P): a random TT of 1 to 4 modes of size 1 to 6
-    with bond ranks 1 to 4; an operator of 1 to 4 terms of random sparse
-    square factors, whose first factor has an empty row; round_eps None or
-    1e-8; P from 1 to 4, so modes smaller than P leave idle ranks."""
+    """(x, op, round_eps, P, max_rank): a random TT of 1 to 4 modes of size
+    1 to 6 with bond ranks 1 to 4; an operator of 1 to 4 terms of random
+    sparse square factors, whose first factor has an empty row; round_eps
+    None or 1e-8; P from 1 to 4, so modes smaller than P leave idle ranks;
+    and, when round_eps is set, a rank cap of None, 1, 2 or 3."""
     n_modes = draw(st.integers(1, 4))
     dims = tuple(draw(st.integers(1, 6)) for _ in range(n_modes))
     x = random_tt(dims, _chain(draw, n_modes, 4), draw(st.integers(0, 2**16)))
+    round_eps = draw(st.sampled_from([None, 1e-8]))
     return (x, _sparse_operator(dims, draw(st.integers(1, 4)), draw(st.integers(0, 2**16))),
-            draw(st.sampled_from([None, 1e-8])), draw(st.integers(1, 4)))
+            round_eps, draw(st.integers(1, 4)),
+            None if round_eps is None else draw(st.sampled_from([None, 1, 2, 3])))
 
 
 def _sparse_operator(dims, n_terms, seed):
@@ -602,12 +603,13 @@ def _sparse_operator(dims, n_terms, seed):
     return KroneckerOperator(dims, terms)
 
 
-def _op_case(dims, ranks, n_terms, round_eps, nranks):
-    return random_tt(dims, ranks, 7), _sparse_operator(dims, n_terms, 8), round_eps, nranks
+def _op_case(dims, ranks, n_terms, round_eps, nranks, max_rank=None):
+    return (random_tt(dims, ranks, 7), _sparse_operator(dims, n_terms, 8), round_eps, nranks,
+            max_rank)
 
 
 def _tt_bytes(t):
-    return [c.array.tobytes() for c in t.cores]
+    return [c.tobytes() for c in t.cores]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -615,27 +617,30 @@ def _tt_bytes(t):
 @example(_op_case((5,), (1, 1), 3, None, 4))
 @example(_op_case((2, 1, 3), (1, 3, 2, 1), 4, 1e-8, 3))
 @example(_op_case((6, 5, 1, 2), (1, 2, 4, 2, 1), 2, None, 4))
+@example(_op_case((4, 3, 4), (1, 3, 3, 1), 3, 1e-8, 2, max_rank=2))
 def test_apply_operator_is_the_sum_of_its_terms_across_p(case):
     """apply_operator at P = 1 to 4 gives, byte for byte, the unrounded sum
     it gives sequentially, which is the dense operator's product to 1e-12
     relative; at every P (and sequentially) its result, rounded or not, is
-    byte for byte `add` nested over the one-term results, then rounded; each
+    byte for byte `add` nested over the one-term results, then rounded with
+    the same rank cap, and reports the same ``error_bound_violated``; each
     rank sends exactly T N (P - 1) messages and the flops and words of its
     terms' exchanges; and the ranks' flops add up to 2 nnz r_left r_right
     per factor."""
-    x, op, round_eps, nranks = case
+    x, op, round_eps, nranks, max_rank = case
     ones = [KroneckerOperator(x.dims, [t]) for t in op.terms]
 
     def nested(t):
         return reduce(add, [apply_operator(o, t) for o in ones])
 
     def rounded(z):
-        return z if round_eps is None else round_tt(z, RoundingOptions(round_eps))
+        return z if round_eps is None else round_tt(z, RoundingOptions(round_eps,
+                                                                        max_rank=max_rank))
 
     seq = apply_operator(op, x)
     want = dense_operator(op) @ dense(x).ravel(order="F")
     assert np.linalg.norm(dense(seq).ravel(order="F") - want) <= 1e-12 * np.linalg.norm(want)
-    assert _tt_bytes(apply_operator(op, x, round_eps=round_eps)) == _tt_bytes(rounded(nested(x)))
+    assert _tt_bytes(apply_operator(op, x, round_eps, max_rank)) == _tt_bytes(rounded(nested(x)))
 
     def body(comm):
         dx = distribute(x, comm)
@@ -645,12 +650,12 @@ def test_apply_operator_is_the_sum_of_its_terms_across_p(case):
             z = make()
             out.append(([comm.trace.total(k) for k in ("flops", "words", "messages")], z))
         (whole, z), (per_term, zs) = out
-        got = apply_operator(op, dx, round_eps=round_eps)
-        return whole, per_term, _tt_bytes(gather(z)), _tt_bytes(gather(got)), _tt_bytes(
-            gather(rounded(zs)))
+        got, want_got = apply_operator(op, dx, round_eps, max_rank), rounded(zs)
+        return whole, per_term, _tt_bytes(gather(z)), [
+            (_tt_bytes(gather(t)), t.meta.get("error_bound_violated")) for t in (got, want_got)]
 
     res = run_spmd(nranks, body).results
-    for whole, per_term, unrounded, got, want_got in res:
+    for whole, per_term, unrounded, (got, want_got) in res:
         assert unrounded == _tt_bytes(seq)
         assert got == want_got
         assert whole == per_term
@@ -687,7 +692,7 @@ def _sweep_case(dims, ranks, seed, doubled, eps0, core=0, k=0):
 def _scaled(t, n, k):
     """t with core n multiplied by 2^k, exactly while its entries stay normal."""
     cores = list(t.cores)
-    cores[n] = TTCore(np.ldexp(cores[n].array, k))
+    cores[n] = np.ldexp(cores[n], k)
     return TTTensor(cores)
 
 
@@ -722,7 +727,7 @@ def _sweep_outputs(x, eps0, nranks) -> list:
         for kind, how in _SWEEPS:
             if kind == "round":
                 y = round_tt(dx, RoundingOptions(eps0, how))
-                assert y.meta.get("output_ranks", y.ranks) == y.ranks  # none for one mode
+                assert y.meta["output_ranks"] == y.ranks
             else:
                 y = orthonormalize(dx, how)
                 assert y.ranks == dx.ranks
@@ -761,7 +766,7 @@ def test_tsqr_sweeps_across_p(case):
             got = dense(_scaled(y, -1 if left else 0, -k))
             bound = (eps0 if kind == "round" else 0.0) + _SWEEP_SLACK
             assert np.linalg.norm(got - want) <= bound * nx, (kind, how, nranks)
-            loss = _orthonormality_loss([c.array for c in y.cores], left)
+            loss = _orthonormality_loss(y.cores, left)
             assert loss <= _SWEEP_SLACK, (kind, how, nranks)
             if (kind, how) in first:
                 assert np.linalg.norm(got - first[kind, how]) <= _SWEEP_SLACK * nx
@@ -775,7 +780,7 @@ def test_padded_tsqr_keeps_rank_deficient_q_orthonormal():
     6), which zero-padded leaves once left non-orthonormal."""
     x = _sweep_case((2, 3, 2, 2), (1, 2, 3, 2, 1), 1, True, 0.0)[0]
     (_, y), = [v for k, v in _sweep_outputs(x, 0.0, 2)[0].items() if k == ("round", "RLR")]
-    assert _orthonormality_loss([c.array for c in y.cores], left=True) <= _SWEEP_SLACK
+    assert _orthonormality_loss(y.cores, left=True) <= _SWEEP_SLACK
 
 
 @st.composite
@@ -788,7 +793,7 @@ def nonfinite_cases(draw):
     dims = tuple(draw(st.integers(1, 6)) for _ in range(n_modes))
     x = random_tt(dims, _chain(draw, n_modes, 4), draw(st.integers(0, 2**16)))
     y = random_tt(dims, _chain(draw, n_modes, 4), draw(st.integers(0, 2**16)))
-    core = x.cores[draw(st.integers(0, n_modes - 1))].array
+    core = x.cores[draw(st.integers(0, n_modes - 1))]
     core[tuple(draw(st.integers(0, s - 1)) for s in core.shape)] = draw(
         st.sampled_from([np.nan, np.inf, -np.inf]))
     return x, y, draw(st.one_of(st.none(), st.integers(1, 4)))
@@ -796,7 +801,7 @@ def nonfinite_cases(draw):
 
 def _nonfinite_case(dims, ranks, n, at, value, nranks):
     x = random_tt(dims, ranks, 0)
-    x.cores[n].array[at] = value
+    x.cores[n][at] = value
     return x, random_tt(dims, ranks, 1), nranks
 
 
@@ -849,10 +854,9 @@ def scale_cases(draw):
 @example((random_tt((5,), (1, 1), 2), -3.5))
 @example((random_tt((2, 1, 3), (1, 3, 2, 1), 3), 0.0))
 def test_scale_across_p(case):
-    """`scale` at P = 1 to 4 gives every rank, byte for byte, its block of
-    the sequential result (empty on idle ranks; the slabs are compared, as
-    `gather` turns a -0.0 into 0.0), which is s times the dense oracle to
-    roundoff."""
+    """`scale` at P = 1 to 4 gathers on every rank, byte for byte and so
+    with each -0.0 kept, to the sequential result, which is s times the
+    dense oracle to roundoff."""
     x, s = case
     z = scale(x, s)
     want = s * dense(x)
@@ -860,9 +864,7 @@ def test_scale_across_p(case):
     assert np.linalg.norm(dense(z) - want) <= 1e-13 * np.linalg.norm(want)
 
     def body(comm):
-        dz = scale(distribute(x, comm), s)
-        return [a.tobytes() for a in dz.local] == [
-            c.array[:, slice(*dz.local_bounds(n))].tobytes() for n, c in enumerate(z.cores)]
+        return _tt_bytes(gather(scale(distribute(x, comm), s))) == _tt_bytes(z)
 
     for nranks in range(1, 5):
         assert run_spmd(nranks, body).results == [True] * nranks

@@ -1,6 +1,7 @@
 """Source-level guards on the package itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import ttpar
@@ -102,3 +103,34 @@ def test_only_enter_tells_the_tensor_flavors_apart():
             and flavors & {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
         ]
     assert found == []
+
+
+_FIXTURE = '''"""Module docstring,
+over two lines."""
+import os  # a trailing comment keeps the line
+
+# a comment-only line
+
+
+class A:
+    """Class docstring."""
+
+    x = """not a docstring:
+# this line is string, not comment
+"""
+
+    def f(self):
+        """Function docstring."""
+        return os.sep
+'''
+
+
+def test_code_lines_counts_code_outside_docstrings():
+    """`tools/code_lines.py` counts the lines of the fixture that carry
+    code: not blank, not comment-only, outside the three docstrings; a
+    non-docstring string's lines count, a '#' inside it included."""
+    path = Path(__file__).parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.count(_FIXTURE) == 7
