@@ -81,11 +81,10 @@ class TTTensor:
             if arr.ndim != 3:
                 raise ShapeError(f"core must be 3-way, got ndim={arr.ndim}")
             arrays.append(np.asfortranarray(arr))
-        for k in range(len(arrays) - 1):
-            if arrays[k].shape[2] != arrays[k + 1].shape[0]:
+        for k, (a, b) in enumerate(zip(arrays, arrays[1:])):
+            if a.shape[2] != b.shape[0]:
                 raise ShapeError(
-                    f"rank mismatch between cores {k} and {k + 1}: "
-                    f"{arrays[k].shape[2]} != {arrays[k + 1].shape[0]}"
+                    f"rank mismatch between cores {k} and {k + 1}: {a.shape[2]} != {b.shape[0]}"
                 )
         ranks = [c.shape[0] for c in arrays[:1]] + [c.shape[2] for c in arrays]
         _check_chain([c.shape[1] for c in arrays], ranks)
@@ -170,9 +169,10 @@ def full(t: TTTensor, max_entries: int = DEFAULT_FULL_CAPACITY) -> np.ndarray:
 
 def _check_chain(dims, ranks):
     """``(dims, ranks)`` as tuples of ints, or `ShapeError`: every entry is
-    integral (4.0 passes; 4.7, NaN, an infinity or "4" does not), dims are
-    >= 1, there is one rank more than dims, and ranks are >= 1 with unit
-    ends.  `TTTensor` checks its cores' chain here too."""
+    integral (4.0 passes; 4.7, NaN, an infinity or "4" does not), there is
+    at least one dim and dims are >= 1, there is one rank more than dims,
+    and ranks are >= 1 with unit ends.  `TTTensor` checks its cores' chain
+    here too."""
     raw = tuple(dims), tuple(ranks)
     try:
         dims, ranks = (tuple(map(int, seq)) for seq in raw)
@@ -180,7 +180,9 @@ def _check_chain(dims, ranks):
         dims = ranks = None
     if (dims, ranks) != raw:  # int() truncated or parsed an entry
         raise ShapeError(f"dims and ranks must be integers, got {raw[0]} and {raw[1]}")
-    if not dims or any(d < 1 for d in dims):
+    if not dims:
+        raise ShapeError("a TT tensor needs at least one mode")
+    if any(d < 1 for d in dims):
         raise ShapeError(f"dims must be positive, got {dims}")
     if len(ranks) != len(dims) + 1:
         raise ShapeError(f"need {len(dims) + 1} ranks for {len(dims)} modes, got {len(ranks)}")

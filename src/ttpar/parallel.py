@@ -477,12 +477,6 @@ class RoundingOptions:
             self.max_rank = _check_count("max_rank", self.max_rank)
 
 
-def _canonical_zero(dt: DistTTTensor, meta: dict) -> DistTTTensor:
-    slabs = [np.zeros((1, s.shape[1], 1), order="F") for s in dt.local]
-    ranks = (1,) * (dt.ndim + 1)
-    return DistTTTensor(dt.comm, dt.dims, ranks, slabs, meta)
-
-
 def round_tt(x, opts: RoundingOptions):
     """Compress bond ranks to relative accuracy ``opts.eps0``.
 
@@ -523,7 +517,9 @@ def round_tt(x, opts: RoundingOptions):
         meta["norm"] = norm_x
         if norm_x == 0.0:
             meta["zero"] = True
-            return leave(_canonical_zero(dt, meta))
+            ranks = meta["output_ranks"] = (1,) * (N + 1)
+            zeros = [np.zeros((1, s.shape[1], 1), order="F") for s in dt.local]
+            return leave(DistTTTensor(comm, dt.dims, ranks, zeros, meta))
         eps = opts.eps0 * norm_x / sqrt(N - 1)
         meta["eps_bond"] = eps
 

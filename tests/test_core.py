@@ -51,9 +51,10 @@ def test_unfolding_views_alias_exhaustively():
 def test_core_is_fortran_ordered():
     """A C-ordered or integer core comes back F-ordered float64 with the same
     entries; an F-ordered float64 core is kept, not copied."""
-    a = np.arange(24.0).reshape(1, 24, 1)
+    a = np.arange(24.0).reshape(1, 4, 6)
     for given in (a, a.astype(np.int64)):
-        core = TTTensor([given]).cores[0]
+        assert not given.flags.f_contiguous
+        core = TTTensor([given, np.ones((6, 2, 1))]).cores[0]
         assert core.dtype == np.float64 and core.flags.f_contiguous
         assert (core == a).all()
     f = np.asfortranarray(np.ones((1, 3, 2)))
@@ -68,7 +69,7 @@ def test_tensor_validation():
         TTTensor([np.ones((1, 3, 2)), np.ones((3, 3, 1))])
     with pytest.raises(ShapeError):
         TTTensor([np.ones((2, 3, 1))])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="at least one mode"):
         TTTensor([])
     with pytest.raises(ShapeError, match="3-way"):
         TTTensor([np.ones((3, 1))])

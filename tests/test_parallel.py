@@ -425,14 +425,17 @@ def test_round_single_mode_is_identity():
 def test_round_single_mode_reports_its_own_meta():
     """A one-mode round reports the keys of a two-mode round but the bond
     threshold ``eps_bond``, none of its input's: its norm, output ranks
-    (1, 1), and ``zero`` for a zero vector."""
+    (1, 1), and ``zero`` for a zero vector, whose keys are a zero two-mode
+    round's."""
     one = orthonormalize(distribute(random_tt((7,), (1, 1), seed=5), SerialComm()), "right")
     two = distribute(random_tt((7, 3), (1, 2, 1), seed=5), SerialComm())
     got = round_tt(one, RoundingOptions(1e-8)).meta
     assert set(got) == set(round_tt(two, RoundingOptions(1e-8)).meta) - {"eps_bond"}
     assert got["output_ranks"] == (1, 1)
     assert np.isclose(got["norm"], np.linalg.norm(one.local[0]), rtol=1e-15, atol=0.0)
-    assert round_tt(scale(one, 0.0), RoundingOptions(1e-8)).meta["zero"] is True
+    zero_one, zero_two = (round_tt(scale(x, 0.0), RoundingOptions(1e-8)).meta for x in (one, two))
+    assert zero_one["zero"] is True and set(zero_one) == set(zero_two)
+    assert zero_two["output_ranks"] == (1, 1, 1)
 
 
 def test_round_rejects_bad_options():
