@@ -1,11 +1,13 @@
 """BLAS-3 and LAPACK kernels called without the GIL, and the BLAS thread count.
 
-scipy's wrappers in ``scipy.linalg.blas`` and ``scipy.linalg.lapack`` hold
-the GIL for the whole call, so ranks simulated as threads take turns in
-them.  This module takes the routines' function pointers from the capsules
-scipy exports in ``scipy.linalg.cython_blas`` and ``cython_lapack`` (the
-route numba uses too) and calls them through `ctypes.CFUNCTYPE` prototypes,
-which release the GIL for the duration of each call.  It is the same
+scipy's wrappers in ``scipy.linalg.blas``, and those of ``dgesdd``,
+``dgeqrt`` and ``dgemqrt`` in ``scipy.linalg.lapack``, hold the GIL for the
+whole call, so ranks simulated as threads take turns in them (its
+``dgeqrf``, ``dormqr`` and ``dorgqr`` release it).  This module takes the
+routines' function pointers from the capsules scipy exports in
+``scipy.linalg.cython_blas`` and ``cython_lapack`` (the route numba uses
+too) and calls them through `ctypes.CFUNCTYPE` prototypes, which release
+the GIL for the duration of each call.  It is the same
 library, so results are bitwise those of scipy's wrappers.
 
 `dgeqrt` and `dgemqrt` only ever see the tall panels `tsqr._wy_route` picks
@@ -132,19 +134,19 @@ def _operand(a, writable: bool = False) -> tuple | None:
     return (a, ld) if a.flags.writeable or not writable else None
 
 
-def dgemm(alpha: float, a: np.ndarray, b: np.ndarray, trans_a: int = 0, trans_b: int = 0,
+def dgemm(alpha: float, a: np.ndarray, b: np.ndarray, trans_a: int = 0,
           out: np.ndarray | None = None) -> np.ndarray:
-    """``alpha * op(a) @ op(b)`` like scipy's ``dgemm``: a new F-ordered
-    array, or written into ``out`` and returned.
+    """``alpha * op(a) @ b`` like scipy's ``dgemm``: a new F-ordered array,
+    or written into ``out`` and returned.
 
     ``out`` may be a block of a larger array; the raw route writes it in
     place, scipy's writes the product it forms into it.  An ``out`` that
     may overlap ``a`` or ``b`` takes scipy's route.
     """
     m, k = a.shape[::-1] if trans_a else a.shape
-    kb, n = b.shape[::-1] if trans_b else b.shape
+    kb, n = b.shape
     if kb != k or out is not None and out.shape != (m, n):
-        raise ShapeError(f"dgemm: op(a) is {m} x {k} and op(b) is {kb} x {n}"
+        raise ShapeError(f"dgemm: op(a) is {m} x {k} and b is {kb} x {n}"
                          + ("" if out is None else f", out is {out.shape}"))
     if 2.0 * m * n * k >= GIL_FREE_FLOPS:
         c = np.empty((m, n), order="F") if out is None else out  # beta = 0: BLAS never reads C
@@ -152,12 +154,11 @@ def dgemm(alpha: float, a: np.ndarray, b: np.ndarray, trans_a: int = 0, trans_b:
         # BLAS would read entries of an operand it has already overwritten
         if None not in ops and not any(np.may_share_memory(c, x) for x in (a, b)):
             (af, lda), (bf, ldb), (_, ldc) = ops
-            ta, tb = (b"T" if t else b"N" for t in (trans_a, trans_b))
             m_, n_, k_, lda, ldb, ldc = _ints(m, n, k, lda, ldb, ldc)
-            _DGEMM(ta, tb, m_, n_, k_, _dbl(alpha), af.ctypes.data, lda, bf.ctypes.data,
-                   ldb, _dbl(0.0), c.ctypes.data, ldc)
+            _DGEMM(b"T" if trans_a else b"N", b"N", m_, n_, k_, _dbl(alpha), af.ctypes.data,
+                   lda, bf.ctypes.data, ldb, _dbl(0.0), c.ctypes.data, ldc)
             return c
-    c = blas.dgemm(alpha, a, b, trans_a=trans_a, trans_b=trans_b)
+    c = blas.dgemm(alpha, a, b, trans_a=trans_a)
     if out is None:
         return c
     out[...] = c

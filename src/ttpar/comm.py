@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log2
 
 import numpy as np
@@ -301,10 +301,9 @@ class SerialComm(SimComm):
 
 @dataclass
 class SpmdRun:
-    """Outcome of `run_spmd`: one result and one trace per rank."""
+    """Outcome of `run_spmd`: one result per rank."""
 
     results: list
-    traces: list = field(default_factory=list)
 
 
 def run_spmd(nranks: int, body, *, timeout: float = 60.0) -> SpmdRun:
@@ -342,7 +341,7 @@ def run_spmd(nranks: int, body, *, timeout: float = 60.0) -> SpmdRun:
     raised = [e for e in errors if e is not None]
     if raised:  # the first error that is not a peer's abort, else the first
         raise next((e for e in raised if not isinstance(e, _GroupAbort)), raised[0])
-    return SpmdRun(results, [c.trace for c in comms])
+    return SpmdRun(results)
 
 
 class MPICommunicator(Communicator):

@@ -385,10 +385,6 @@ class KroneckerOperator:
             terms.append(row)
         self.terms = terms
 
-    @classmethod
-    def identity(cls, dims) -> "KroneckerOperator":
-        return cls(tuple(dims), [[sp.identity(int(d), format="csr") for d in dims]])
-
 
 def _mode_product(a, dt: DistTTTensor, n: int) -> np.ndarray:
     """Sparse factor ``a`` applied to this rank's slab of mode ``n``, as a

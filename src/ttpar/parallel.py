@@ -399,7 +399,7 @@ def orthonormalize(x, direction: str = "right"):
     sweep = _BACKWARD if direction == "right" else _FORWARD
     slabs = _qr_sweep(dt, sweep)[0] if dt.ndim > 1 else [dt.local[0].copy(order="F")]
     _check_finite(slabs[0 if direction == "right" else -1])
-    return leave(DistTTTensor(dt.comm, dt.dims, dt.ranks, slabs, {"orthonormal": direction}))
+    return leave(DistTTTensor(dt.comm, dt.dims, dt.ranks, slabs))
 
 
 @dataclass
@@ -494,11 +494,7 @@ def round_tt(x, opts: RoundingOptions):
     dt, leave = _enter(x)
     comm, tr = dt.comm, dt.comm.trace
     N = dt.ndim
-    meta = {
-        "variant": opts.variant,
-        "eps0": opts.eps0,
-        "error_bound_violated": False,
-    }
+    meta = {"error_bound_violated": False}
     if N == 1:  # no bond: the norm, and a copy of the one core
         with tr.phase("Other"):
             meta["norm"] = _end_core_norm(comm, dt.local[0])

@@ -212,10 +212,13 @@ def _wy_route(m: int, b: int) -> bool:
     (ilaenv's crossover), so every panel here runs their BLAS-2 code;
     dgeqrt with nb = 32 is blocked at any width, and so is the build of Q
     from its T (`LocalQR.explicit_q`).  Both are called through `_kernels`,
-    which releases the GIL, because scipy's wrappers of them hold it (while
-    one runs, another Python thread runs at about a tenth of its speed)
-    while dgeqrf's does not.  The binding costs about 10 us per call, and
-    the compact-WY pair loses on narrow or short panels.
+    which releases the GIL, because scipy's wrappers of dgeqrt and dgemqrt
+    hold it while those of dgeqrf, dormqr and dorgqr release it: two
+    threads, one OpenBLAS thread each, take about twice the time of one
+    thread alone for scipy's dgeqrt or dgemqrt at 1000 x 64, 1.1x for its
+    dgeqrf at 1000 x 60 and 1.3x for `_kernels.dgeqrt` at 1000 x 64.  The
+    binding costs about 10 us per call, and the compact-WY pair loses on
+    narrow or short panels.
     Factor plus explicit-Q time, what an explicit sweep pays, of dgeqrt and
     dgemqrt over dgeqrf and dorgqr, single-threaded (best of repeated calls,
     median of five; OpenBLAS 0.3.31 on a 2-core x86-64 VM; repeated tables

@@ -75,12 +75,13 @@ def test_broadcast_ignores_non_root_lengths():
     """The MPI smoke test's broadcast: non-root payloads of any length."""
 
     def body(comm):
-        return comm.broadcast(np.arange(4.0) if comm.rank == 0 else np.zeros(1), root=0)
+        got = comm.broadcast(np.arange(4.0) if comm.rank == 0 else np.zeros(1), root=0)
+        return got, comm.trace
 
     run = run_spmd(2, body)
-    for r in run.results:
+    for r, _ in run.results:
         assert np.array_equal(r, np.arange(4.0))
-    assert [t.total("words") for t in run.traces] == [4.0, 4.0]
+    assert [t.total("words") for _, t in run.results] == [4.0, 4.0]
 
 
 def test_self_exchange_rejected():
@@ -240,13 +241,13 @@ def test_counters_charge_documented_costs():
         else:
             pass
         comm.allreduce_sum(np.zeros((3, 3)))
-        return None
+        return comm.trace
 
     run = run_spmd(5, body)  # ceil(log2 5) = 3
-    t0 = run.traces[0]
+    t0 = run.results[0]
     assert t0.total("messages") == 1 + 3
     assert t0.total("words") == 5 + 9 * 3
-    t4 = run.traces[4]
+    t4 = run.results[4]
     assert t4.total("messages") == 3
     assert t4.total("words") == 9 * 3
 

@@ -50,11 +50,12 @@ GEMM_SHAPES = [(3, 4, 5), (50, 2500, 50), (7, 6, 0), (0, 5, 4), (5, 0, 4)]
 @pytest.mark.parametrize("trans_a,trans_b", [(0, 0), (1, 0), (0, 1), (1, 1)])
 @pytest.mark.parametrize("orders", ["FF", "CF", "FC", "CC"])
 def test_dgemm_is_scipys(gate, raw_calls, m, n, k, trans_a, trans_b, orders):
-    """C-ordered operands take the ctypes route too, as F-ordered copies."""
+    """C-ordered operands take the ctypes route too, as F-ordered copies.
+    A transposed ``b`` is the view ``b.T``, with scipy's ``trans_b`` bits."""
     rng = np.random.default_rng(1)
     a = np.asarray(_f(rng, (k, m) if trans_a else (m, k)), order=orders[0])
     b = np.asarray(_f(rng, (n, k) if trans_b else (k, n)), order=orders[1])
-    got = _kernels.dgemm(1.5, a, b, trans_a, trans_b)
+    got = _kernels.dgemm(1.5, a, b.T if trans_b else b, trans_a)
     assert bool(raw_calls) is (gate == "forced" or 2.0 * m * n * k >= _kernels.GIL_FREE_FLOPS)
     want = blas.dgemm(1.5, a, b, trans_a=trans_a, trans_b=trans_b)
     assert got.shape == want.shape and got.flags.f_contiguous
@@ -222,7 +223,7 @@ def test_mismatched_shapes_raise_before_the_pointer_call(raw_calls, monkeypatch)
     with pytest.raises(ShapeError):
         _kernels.dgemm(1.0, _f(rng, (10, 5)), _f(rng, (6, 4)))
     with pytest.raises(ShapeError):
-        _kernels.dgemm(1.0, _f(rng, (10, 5)), _f(rng, (6, 4)), trans_a=1, trans_b=1)
+        _kernels.dgemm(1.0, _f(rng, (10, 5)), _f(rng, (6, 4)).T, trans_a=1)
     with pytest.raises(ShapeError):
         _kernels.dtrmm(1.0, _f(rng, (5, 5)), _f(rng, (6, 4)))
     with pytest.raises(ShapeError):

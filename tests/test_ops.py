@@ -36,6 +36,8 @@ from ttpar.ops import _gram_factor, _IndefiniteGram, _pivoted_cholesky
 from ttpar.parallel import ROUNDING_VARIANTS, _end_core_norm
 from ttpar.verify import dense, dense_operator
 
+from tests_support import identity_operator
+
 
 def pair(seed, dims=(4, 5, 3), rx=(1, 3, 2, 1), ry=(1, 2, 4, 1)):
     return random_tt(dims, rx, seed), random_tt(dims, ry, seed + 1000)
@@ -95,7 +97,7 @@ def test_mixed_flavors_rejected():
 
 def test_operand_errors_keep_their_type_and_message():
     x = random_tt((4, 5), (1, 2, 1), seed=7)
-    op = KroneckerOperator.identity((4, 5))
+    op = identity_operator((4, 5))
     cases = [
         (lambda: add(x, 3.0), "expected TTTensor or DistTTTensor, got float"),
         (lambda: scale([x], 2.0), "expected TTTensor or DistTTTensor, got list"),
@@ -393,7 +395,7 @@ def kron_sum_operator(dims):
 
 def test_identity_operator_is_identity():
     x, _ = pair(25)
-    z = apply_operator(KroneckerOperator.identity(x.dims), x)
+    z = apply_operator(identity_operator(x.dims), x)
     assert np.allclose(dense(z), dense(x))
 
 
@@ -572,7 +574,7 @@ def test_sequential_ops_match_the_one_rank_tensor_bytewise(c):
 
 def test_apply_operator_dims_must_match():
     x, _ = pair(30)
-    op = KroneckerOperator.identity((4, 5, 4))
+    op = identity_operator((4, 5, 4))
     with pytest.raises(ShapeError, match="dims"):
         apply_operator(op, x)
 

@@ -125,12 +125,28 @@ class A:
 '''
 
 
+def _tool(name: str):
+    """The module ``tools/<name>.py``, loaded from its file."""
+    path = Path(__file__).parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_code_lines_counts_code_outside_docstrings():
     """`tools/code_lines.py` counts the lines of the fixture that carry
     code: not blank, not comment-only, outside the three docstrings; a
     non-docstring string's lines count, a '#' inside it included."""
-    path = Path(__file__).parents[1] / "tools" / "code_lines.py"
-    spec = importlib.util.spec_from_file_location("code_lines", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert tool.count(_FIXTURE) == 7
+    assert _tool("code_lines").count(_FIXTURE) == 7
+
+
+def test_grid_digests_repeat_in_process():
+    """`tools/grid.py` gives a rounding case and a TSQR case the same digest
+    on a second run, and another seed a different one."""
+    grid = _tool("grid")
+    names = ["mixed-b/s1/P2/round-LRLI-1e-08-capNone", "tsqr-41x6/binomial/s1/P3"]
+    assert set(names) <= set(grid.cases())
+    first = [grid.digest(n) for n in names]
+    assert [grid.digest(n) for n in names] == first
+    assert grid.digest(names[0].replace("/s1/", "/s2/")) != first[0]

@@ -513,11 +513,11 @@ def test_butterfly_message_counts():
             fac, _ = tsqr_factor(blocks[comm.rank], comm)
         with comm.trace.phase("apply"):
             tsqr_apply_q(fac, np.eye(4), comm)
-        return None
+        return comm.trace
 
     _, _, run = tsqr_gathered(a, 8)  # warm path; now the traced run:
     run = run_spmd(8, body)
-    for rank, tr in enumerate(run.traces):
+    for rank, tr in enumerate(run.results):
         assert tr.messages["factor"] == 3, (rank, tr.messages)
         assert tr.messages["apply"] == tr.words["apply"] == 0, (rank, tr.words)
 
@@ -532,14 +532,14 @@ def test_nonpowitwo_message_counts_and_levels():
         fac, _ = tsqr_factor(blocks[comm.rank], comm)
         with comm.trace.phase("apply"):
             tsqr_apply_q(fac, np.eye(3), comm)
-        return len(fac.tree), bool(fac.tree) and fac.tree[0].child is not None
+        return len(fac.tree), bool(fac.tree) and fac.tree[0].child is not None, comm.trace
 
     run = run_spmd(5, body)
     levels = [res[0] for res in run.results]
     has_cleanup = [res[1] for res in run.results]
     assert levels == [3, 2, 2, 2, 0]
     assert has_cleanup == [True, False, False, False, False]
-    assert [tr.messages["apply"] for tr in run.traces] == [1, 0, 0, 0, 1]
+    assert [res[2].messages["apply"] for res in run.results] == [1, 0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("variant", ["butterfly", "binomial"])
@@ -555,8 +555,9 @@ def test_message_counts_match_closed_forms(nranks, variant):
             fac, _ = tsqr_factor(blocks[comm.rank], comm, variant=variant)
         with comm.trace.phase("apply"):
             tsqr_apply_q(fac, np.eye(3), comm)
+        return comm.trace
 
-    traces = run_spmd(nranks, body).traces
+    traces = run_spmd(nranks, body).results
     got = [(tr.messages["factor"], tr.messages["apply"]) for tr in traces]
     if variant == "binomial":
         # rank q > 0 hangs below q minus its lowest set bit; one message per

@@ -1,11 +1,15 @@
 """Shared fixtures: tensors with known compressible structure, a rounding
-whose ranks disagree, and the environment of child processes."""
+whose ranks disagree, the identity operator, and the environment of child
+processes."""
 
 import os
 import threading
 
+import scipy.sparse as sp
+
 import ttpar
-from ttpar import RoundingOptions, distribute, ops, parallel, random_tt, round_tt, run_spmd
+from ttpar import (KroneckerOperator, RoundingOptions, distribute, ops, parallel, random_tt,
+                   round_tt, run_spmd)
 
 
 def redundant_pair(dims, rank, seed):
@@ -42,6 +46,11 @@ def round_with_short_rank1(nranks, variant="LRLI"):
         return run_spmd(nranks, body, timeout=30.0).results
     finally:
         parallel.truncated_svd = svd
+
+
+def identity_operator(dims) -> KroneckerOperator:
+    """The one-term operator whose every factor is the identity."""
+    return KroneckerOperator(tuple(dims), [[sp.identity(int(d), format="csr") for d in dims]])
 
 
 def child_env():
